@@ -9,14 +9,12 @@ model, so the two routes are directly comparable.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .dataset import CLASSES, N_CLASSES, DataError, IMURecording, PrimitiveClass
+from .dataset import N_CLASSES, DataError, IMURecording, PrimitiveClass
 from .decoding import WindowPrediction
 from .model import Adam, TrainingError
 from .preprocess import Window
@@ -329,26 +327,3 @@ def train_pointwise(
             d = (probs - onehot_rows[idx]) / len(idx)
             opt.step(arrays, {"W": zb.T @ d, "b": d.sum(axis=0)})
     return LogisticPointwise(mean, std, W, b, config.context_frames)
-
-
-# ---------------------------------------------------------------------------
-# Track persistence
-# ---------------------------------------------------------------------------
-
-
-def save_track(track: PointwiseTrack, path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["frame", *(c.label for c in CLASSES)])
-        for i, row in enumerate(track.probs):
-            writer.writerow([i, *(repr(float(v)) for v in row)])
-
-
-def load_track(path: str | Path, recording_id: str) -> PointwiseTrack:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["frame", *(c.label for c in CLASSES)]:
-            raise DataError(f"{path}: unexpected track header")
-        probs = [[float(v) for v in row[1:]] for row in reader]
-    return PointwiseTrack(recording_id, np.asarray(probs))

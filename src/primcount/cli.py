@@ -45,13 +45,20 @@ from .dataset import (
 from .decoding import (
     PrimitiveCounts,
     SessionPrediction,
-    WindowPrediction,
     count,
     counting_error,
     decode_windows,
+    stitch_append,
     stitch_windows,
 )
-from .evaluation import AlignmentRecord, aggregate, align, confusion_matrix, tally
+from .evaluation import (
+    AlignmentRecord,
+    OutcomeTallies,
+    aggregate,
+    align,
+    confusion_matrix,
+    tally,
+)
 from .model import (
     EnsembleModel,
     ModelConfig,
@@ -233,16 +240,30 @@ def predict_sessions(
     return sessions
 
 
-def _load_sequences(path: Path) -> list[SessionPrediction]:
+def _load_sequences(
+    path: Path, recordings
+) -> list[tuple[SessionPrediction, LabeledRecording]]:
+    """Predicted sessions, each paired with its labelled recording."""
     if not path.is_file():
         raise DataError(f"predictions not found: {path} (run predict first)")
-    sessions = []
+    by_id = {r.recording.recording_id: r for r in recordings}
+    pairs = []
     with open(path) as fh:
         for line in fh:
             obj = json.loads(line)
+            labeled = by_id.get(obj["recording"])
+            if labeled is None:
+                raise DataError(f"unknown recording in predictions: {obj['recording']}")
             tokens = tuple(PrimitiveClass.from_label(t) for t in obj["sequence"])
-            sessions.append(SessionPrediction(obj["recording"], tokens))
-    return sessions
+            pairs.append((SessionPrediction(obj["recording"], tokens), labeled))
+    return pairs
+
+
+def _score(labeled: LabeledRecording, tokens) -> AlignmentRecord:
+    """Align a predicted sequence to the labels and tally the outcomes."""
+    rec = labeled.recording
+    ops = align(labeled.class_sequence(), tokens)
+    return AlignmentRecord(rec.subject_id, rec.activity, tally(ops))
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +340,11 @@ def cmd_predict(cfg: RunConfig, args) -> int:
 def cmd_count(cfg: RunConfig, args) -> int:
     dataset = _require_dataset(cfg)
     out_dir = Path(cfg.out_dir)
-    sessions = _load_sequences(out_dir / "sequences.jsonl")
-    labeled_by_id = {r.recording.recording_id: r for r in dataset.recordings}
+    pairs = _load_sequences(out_dir / "sequences.jsonl", dataset.recordings)
     t0 = time.perf_counter()
     rows = []
     report_rows = []
-    for session in sessions:
-        labeled = labeled_by_id.get(session.recording_id)
-        if labeled is None:
-            raise DataError(f"unknown recording in predictions: {session.recording_id}")
+    for session, labeled in pairs:
         predicted = count(session)
         true = labeled.true_counts()
         err = counting_error(true, predicted)
@@ -364,7 +381,7 @@ def cmd_count(cfg: RunConfig, args) -> int:
         writer.writerows(rows)
     _write_json(out_dir / "counts.json", report_rows)
     _record_timing(out_dir, "count", time.perf_counter() - t0)
-    print(f"counted {len(sessions)} recordings -> {out_dir / 'counts.csv'}")
+    print(f"counted {len(pairs)} recordings -> {out_dir / 'counts.csv'}")
     return 0
 
 
@@ -395,12 +412,7 @@ def _baseline_block(cfg: RunConfig, dataset, pool, test_recordings) -> dict:
         windows = make_windows(labeled.recording, spec, mode="test")
         track = smooth(clf.track(labeled.recording), smoother)
         session = stitch_windows(collapse_windows(track, windows))
-        ops = align(labeled.class_sequence(), session.tokens)
-        records.append(
-            AlignmentRecord(
-                labeled.recording.subject_id, labeled.recording.activity, tally(ops)
-            )
-        )
+        records.append(_score(labeled, session.tokens))
     overall = aggregate(records, group_by="overall")["overall"]
     return {
         "smoother": smoother.to_json(),
@@ -411,24 +423,11 @@ def _baseline_block(cfg: RunConfig, dataset, pool, test_recordings) -> dict:
 def cmd_eval(cfg: RunConfig, args) -> int:
     dataset = _require_dataset(cfg)
     out_dir = Path(cfg.out_dir)
-    sessions = _load_sequences(out_dir / "sequences.jsonl")
-    labeled_by_id = {r.recording.recording_id: r for r in dataset.recordings}
+    pairs = _load_sequences(out_dir / "sequences.jsonl", dataset.recordings)
     t0 = time.perf_counter()
-    records = []
-    for session in sessions:
-        labeled = labeled_by_id.get(session.recording_id)
-        if labeled is None:
-            raise DataError(f"unknown recording in predictions: {session.recording_id}")
-        ops = align(labeled.class_sequence(), session.tokens)
-        records.append(
-            AlignmentRecord(
-                labeled.recording.subject_id, labeled.recording.activity, tally(ops)
-            )
-        )
+    records = [_score(labeled, session.tokens) for session, labeled in pairs]
     groups = {g: aggregate(records, group_by=g) for g in GROUPINGS}
-    pooled = records[0].tallies
-    for r in records[1:]:
-        pooled = pooled + r.tallies
+    pooled = sum((r.tallies for r in records), OutcomeTallies())
     with open(out_dir / "metrics.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
@@ -444,7 +443,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     split = json.loads((out_dir / "split.json").read_text())
     baseline = None
     if cfg.with_baseline:
-        test_recordings = [labeled_by_id[s.recording_id] for s in sessions]
+        test_recordings = [labeled for _, labeled in pairs]
         baseline = _baseline_block(cfg, dataset, split["pool_subjects"], test_recordings)
     elapsed = time.perf_counter() - t0
     _record_timing(out_dir, "eval", elapsed)
@@ -479,42 +478,32 @@ def cmd_eval(cfg: RunConfig, args) -> int:
 
 def cmd_bench(cfg: RunConfig, args) -> int:
     out_dir = Path(cfg.out_dir)
-    root = Path(cfg.data_root)
-    if not root.is_dir():
-        raise DataError(f"dataset directory not found: {root}")
-    try:
-        dataset = _require_dataset(cfg)
-        recordings = dataset.recordings
-    except (DataError, OSError):
-        recordings = []
+    recordings = _require_dataset(cfg).recordings
+    ensemble = load_ensemble(_model_paths(out_dir))
     spec = cfg.window_spec()
     stages = {"window": 0.0, "decode": 0.0, "stitch_count": 0.0}
     processed_s = 0.0
-    if recordings:
-        ensemble = load_ensemble(_model_paths(out_dir))
-        for labeled in recordings:
-            rec = labeled.recording
-            processed_s += rec.n_frames / rec.sample_rate_hz
-            t0 = time.perf_counter()
-            windows = make_windows(rec, spec, mode="test")
-            t1 = time.perf_counter()
-            preds = decode_windows(ensemble, windows)
-            t2 = time.perf_counter()
-            count(stitch_windows(preds))
-            t3 = time.perf_counter()
-            stages["window"] += t1 - t0
-            stages["decode"] += t2 - t1
-            stages["stitch_count"] += t3 - t2
+    for labeled in recordings:
+        rec = labeled.recording
+        processed_s += rec.n_frames / rec.sample_rate_hz
+        t0 = time.perf_counter()
+        windows = make_windows(rec, spec, mode="test")
+        t1 = time.perf_counter()
+        preds = decode_windows(ensemble, windows)
+        t2 = time.perf_counter()
+        count(stitch_windows(preds))
+        t3 = time.perf_counter()
+        stages["window"] += t1 - t0
+        stages["decode"] += t2 - t1
+        stages["stitch_count"] += t3 - t2
     total = sum(stages.values())
-    minutes = processed_s / 60.0
     report = {
         "n_recordings": len(recordings),
         "processed_duration_s": processed_s,
         "total_compute_s": total,
-        "seconds_per_minute": (total / minutes) if minutes > 0 else 0.0,
+        "seconds_per_minute": total / (processed_s / 60.0),
         "stages": stages,
     }
-    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "bench.json", report)
     print(
         f"{report['n_recordings']} recordings, {processed_s:.0f} s of data, "
@@ -540,19 +529,24 @@ class StreamResult:
         return max(self.lags_s) if self.lags_s else 0.0
 
 
-def stream_replay(recording, ensemble: EnsembleModel, speed: float = 1.0) -> StreamResult:
+def stream_replay(
+    recording, ensemble: EnsembleModel, speed: float = 1.0,
+    *, spec: WindowSpec | None = None,
+) -> StreamResult:
     """Replay a recording on a scaled real-time clock and decode live.
 
     A window becomes decodable once its trailing flank has arrived, so
     the producer clock releases frame min(n, core_end + flank) before
-    the consumer runs. Stitching is incremental with a one-token
-    lookback, matching the batch merge rule, so the final sequence is
-    identical to batch mode. Lag is emit time minus the wall-clock time
-    the window's core ended.
+    the consumer runs. Windows are cut with `spec` (default geometry at
+    the recording's rate when omitted) and stitched incrementally with
+    stitch_append, the rule stitch_windows folds with, so the final
+    sequence is identical to batch mode. Lag is emit time minus the
+    wall-clock time the window's core ended.
     """
     if speed <= 0:
         raise DataError("speed must be positive")
-    spec = WindowSpec(sample_rate_hz=recording.sample_rate_hz)
+    if spec is None:
+        spec = WindowSpec(sample_rate_hz=recording.sample_rate_hz)
     windows = make_windows(recording, spec, mode="test")
     n = recording.n_frames
     fs = recording.sample_rate_hz
@@ -571,9 +565,7 @@ def stream_replay(recording, ensemble: EnsembleModel, speed: float = 1.0) -> Str
                 time.sleep(delay)
         ready = time.monotonic()
         pred = decode_windows(ensemble, [window])[0]
-        if pred.tokens:
-            start = 1 if stitched and stitched[-1] == pred.tokens[0] else 0
-            stitched.extend(pred.tokens[start:])
+        stitch_append(stitched, pred.tokens)
         emit = time.monotonic()
         core_end_wall = (window.abs_core_end / fs / speed) if throttled else 0.0
         lag = (emit - t0) - core_end_wall
@@ -613,7 +605,7 @@ def cmd_stream(cfg: RunConfig, args) -> int:
             candidates = dataset.recordings
         target = sorted(candidates, key=lambda r: r.recording.recording_id)[0]
     speed = args.speed if args.speed is not None else 1.0
-    result = stream_replay(target.recording, ensemble, speed=speed)
+    result = stream_replay(target.recording, ensemble, speed=speed, spec=cfg.window_spec())
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "stream_events.jsonl", "w") as fh:
         for event in result.events:

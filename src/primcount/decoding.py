@@ -116,14 +116,12 @@ def decode_windows(
         tok = np.argmax(avg, axis=1)
         done |= tok == EOS_TOKEN
         active = ~done
-        if active.any():
-            out_tokens[active, lengths[active]] = tok[active]
-            lengths[active] += 1
+        out_tokens[active, lengths[active]] = tok[active]
+        lengths[active] += 1
         prev = tok
-        if done.all() or lengths.max() >= max_tokens:
-            done |= lengths >= max_tokens
-            if done.all():
-                break
+        done |= lengths >= max_tokens
+        if done.all():
+            break
 
     return [
         WindowPrediction(
@@ -135,18 +133,21 @@ def decode_windows(
     ]
 
 
-def decode_window(ensemble: EnsembleModel, window: Window) -> WindowPrediction:
-    """Greedy ensemble decode of a single window."""
-    return decode_windows(ensemble, [window])[0]
+def stitch_append(stitched: list[PrimitiveClass], tokens) -> None:
+    """Append one window's tokens to a running sequence, in place.
+
+    When the sequence ends with the class the window starts with, that
+    first token is dropped (one primitive spanning the boundary).
+    """
+    if tokens and stitched and stitched[-1] == tokens[0]:
+        tokens = tokens[1:]
+    stitched.extend(tokens)
 
 
 def stitch_windows(predictions: list[WindowPrediction]) -> SessionPrediction:
     """Concatenate window sequences, merging duplicates at boundaries.
 
-    Left fold: append each window's tokens in core-start order; when the
-    running sequence ends with the same class the next window starts
-    with, that first token is dropped (one primitive spanning the
-    boundary). Empty predictions are skipped.
+    Left fold of stitch_append over the windows in core-start order.
     """
     if not predictions:
         raise DataError("no window predictions to stitch")
@@ -158,10 +159,7 @@ def stitch_windows(predictions: list[WindowPrediction]) -> SessionPrediction:
         raise DataError("window predictions not sorted by core start")
     stitched: list[PrimitiveClass] = []
     for pred in predictions:
-        tokens = list(pred.tokens)
-        if tokens and stitched and stitched[-1] == tokens[0]:
-            tokens = tokens[1:]
-        stitched.extend(tokens)
+        stitch_append(stitched, pred.tokens)
     return SessionPrediction(predictions[0].recording_id, tuple(stitched))
 
 
@@ -215,12 +213,3 @@ def counting_error(true_counts, predicted_counts) -> CountingError:
         else float("nan")
     )
     return CountingError(per_class, pooled)
-
-
-def session_report(session: SessionPrediction, counts: PrimitiveCounts) -> dict:
-    """JSON document for one recording: sequence plus per-class counts."""
-    doc = session.to_json()
-    doc["counts"] = counts.to_json()
-    if counts.activity is not None:
-        doc["activity"] = counts.activity
-    return doc

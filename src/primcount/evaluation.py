@@ -427,33 +427,3 @@ def aggregate(
             for c in CLASSES
         }
     raise DataError(f"unknown group_by {group_by!r}")
-
-
-def spearman_rho(xs, ys) -> float:
-    """Spearman rank correlation: Pearson correlation of mid-ranks."""
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.shape != ys.shape or xs.ndim != 1 or xs.size < 2:
-        raise DataError("need two equal-length vectors of at least 2 points")
-    rx = _midranks(xs)
-    ry = _midranks(ys)
-    sx = rx - rx.mean()
-    sy = ry - ry.mean()
-    denom = np.sqrt((sx**2).sum() * (sy**2).sum())
-    if denom == 0:
-        return math.nan
-    return float((sx * sy).sum() / denom)
-
-
-def _midranks(v: np.ndarray) -> np.ndarray:
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(v.size, dtype=np.float64)
-    sv = v[order]
-    i = 0
-    while i < v.size:
-        j = i
-        while j < v.size and sv[j] == sv[i]:
-            j += 1
-        ranks[order[i:j]] = 0.5 * (i + j + 1)
-        i = j
-    return ranks

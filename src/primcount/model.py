@@ -15,7 +15,7 @@ import base64
 import copy
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,24 +48,22 @@ class TrainingError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+# model_config keys that older model files carry, with their only legal value
+_RETIRED_CONFIG_KEYS = {"cell_type": "gru", "attention": False}
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     input_dim: int = 77
     hidden_dim: int = 64
     embed_dim: int = 32
     max_decode_len: int = 17  # max target tokens + EOS
-    cell_type: str = "gru"
-    attention: bool = False
 
     def __post_init__(self):
         if self.hidden_dim < 1 or self.input_dim < 1 or self.embed_dim < 1:
             raise DataError("model dimensions must be positive")
         if self.max_decode_len < 2:
             raise DataError("max_decode_len must allow at least one token plus EOS")
-        if self.cell_type != "gru":
-            raise DataError(f"unsupported cell type {self.cell_type!r}")
-        if self.attention:
-            raise DataError("attention decoding is not implemented")
 
     @property
     def vocab_size(self) -> int:
@@ -77,12 +75,19 @@ class ModelConfig:
             "hidden_dim": self.hidden_dim,
             "embed_dim": self.embed_dim,
             "max_decode_len": self.max_decode_len,
-            "cell_type": self.cell_type,
-            "attention": self.attention,
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "ModelConfig":
+        """Inverse of to_json; also reads older files that still carry
+        the retired keys, provided they hold their only legal value."""
+        data = dict(data)
+        for key, legal in _RETIRED_CONFIG_KEYS.items():
+            if key in data and data.pop(key) != legal:
+                raise DataError(f"unsupported model_config {key}: {legal!r} only")
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise DataError(f"unknown model_config keys: {sorted(unknown)}")
         return cls(**data)
 
 
@@ -345,15 +350,6 @@ def _encode_backward(
         grads[f"enc_bwd.{name}"] += arr
 
 
-def encode(params: ModelParams, window_frames: np.ndarray) -> np.ndarray:
-    """Context vector for one normalized window (window_len x input_dim)."""
-    frames = np.asarray(window_frames, dtype=np.float64)
-    if frames.ndim != 2:
-        raise DataError("window frames must be 2-D")
-    ctx, _ = _encode_batch(params, frames[None])
-    return ctx[0]
-
-
 # ---------------------------------------------------------------------------
 # Decoder
 # ---------------------------------------------------------------------------
@@ -365,22 +361,14 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def decode_step(params: ModelParams, state: np.ndarray, prev_token: int):
-    """One greedy-decoding step: (probabilities over vocab, new state)."""
-    if not 0 <= int(prev_token) < VOCAB_SIZE:
-        raise DataError(f"token id {prev_token} outside vocabulary")
-    state = np.asarray(state, dtype=np.float64)
-    x = params.embed[int(prev_token)][None]
-    hs, _ = _gru_forward(params.dec, x[None], state[None])
-    new_state = hs[0, 0]
-    probs = _softmax(new_state @ params.out_W + params.out_b)
-    return probs, new_state
-
-
 def decode_step_batch(
     params: ModelParams, states: np.ndarray, prev_tokens: np.ndarray
 ):
-    """Vectorized decode_step over a batch of independent windows."""
+    """One greedy-decoding step for a batch of independent windows.
+
+    states: (B, H); prev_tokens: (B,) token ids. Returns (probabilities
+    over the vocabulary (B, VOCAB), new states (B, H)).
+    """
     x = params.embed[prev_tokens]
     hs, _ = _gru_forward(params.dec, x[None], states)
     new_states = hs[0]
@@ -666,12 +654,12 @@ def windows_and_targets(
 
 def _validation_metrics(member: EnsembleModel, val_pairs) -> tuple[float, float, float]:
     # local import: decoding builds on this module
-    from .decoding import decode_window
+    from .decoding import decode_windows
     from .evaluation import OutcomeTallies, align, metrics, tally
 
+    preds = decode_windows(member, [w for w, _ in val_pairs])
     total = OutcomeTallies()
-    for window, target in val_pairs:
-        pred = decode_window(member, window)
+    for (_, target), pred in zip(val_pairs, preds):
         total = total + tally(align(target.tokens, pred.tokens))
     m = metrics(total)
     aer = m.aer if not math.isnan(m.aer) else float("inf")
@@ -706,7 +694,7 @@ def train_member(
         for r in train_recs
     ]
     train_pairs = windows_and_targets(normalized_train, data.window_spec, mode="train")
-    # validation windows stay raw; decode_window applies member normalization
+    # validation windows stay raw; decode_windows applies member normalization
     val_pairs = windows_and_targets(val_recs, data.window_spec, mode="test")
 
     X = np.stack([w.frames for w, _ in train_pairs])
@@ -827,10 +815,18 @@ def save_member(
 
 
 def load_member(path: str | Path) -> tuple[ModelParams, NormalizationStats]:
-    doc = json.loads(Path(path).read_text())
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path}: not a model file ({e})") from e
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: not a model file (top level is not an object)")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {version!r}")
+    missing = [k for k in ("model_config", "normalization", "arrays") if k not in doc]
+    if missing:
+        raise DataError(f"{path}: model file lacks {missing}")
     config = ModelConfig.from_json(doc["model_config"])
     params = zero_params(config)
     arrays = params.arrays()
@@ -844,6 +840,11 @@ def load_member(path: str | Path) -> tuple[ModelParams, NormalizationStats]:
                             f"expected {arr.shape}")
         arr[...] = loaded
     stats = NormalizationStats.from_json(doc["normalization"])
+    if stats.channel_count != config.input_dim:
+        raise DataError(
+            f"{path}: normalization covers {stats.channel_count} channels, "
+            f"model input_dim is {config.input_dim}"
+        )
     return params, stats
 
 

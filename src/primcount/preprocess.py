@@ -61,48 +61,6 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     )
 
 
-@dataclass(frozen=True)
-class Quaternion:
-    """Unit quaternion, scalar first. Normalized on construction."""
-
-    w: float
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-        if n < _ZERO_NORM_EPS:
-            raise DataError("zero-norm quaternion")
-        if abs(n - 1.0) > 1e-9:
-            object.__setattr__(self, "w", self.w / n)
-            object.__setattr__(self, "x", self.x / n)
-            object.__setattr__(self, "y", self.y / n)
-            object.__setattr__(self, "z", self.z / n)
-
-    @classmethod
-    def identity(cls) -> "Quaternion":
-        return cls(1.0, 0.0, 0.0, 0.0)
-
-    @classmethod
-    def from_array(cls, q: np.ndarray) -> "Quaternion":
-        w, x, y, z = np.asarray(q, dtype=np.float64)
-        return cls(float(w), float(x), float(y), float(z))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.w, self.x, self.y, self.z])
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion.from_array(quat_multiply(self.as_array(), other.as_array()))
-
-    @property
-    def norm(self) -> float:
-        return math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-
-
 def sensor_centric_transform(
     recording: IMURecording,
     manifest: ChannelManifest,

@@ -16,8 +16,6 @@ from primcount.baseline import (
     extract_features,
     frame_labels,
     kaiser_weights,
-    load_track,
-    save_track,
     smooth,
     train_pointwise,
 )
@@ -441,24 +439,3 @@ def test_frame_labels_cover_tiling():
     labeled = one_hot_recording([R, R, T, T, T, I])
     np.testing.assert_array_equal(frame_labels(labeled), [0, 0, 2, 2, 2, 4])
 
-
-# ---------------------------------------------------------------------------
-# Persistence
-# ---------------------------------------------------------------------------
-
-
-def test_track_roundtrip(tmp_path):
-    rng = np.random.default_rng(12)
-    track = random_track(rng, 25)
-    path = tmp_path / "track.csv"
-    save_track(track, path)
-    back = load_track(path, track.recording_id)
-    np.testing.assert_array_equal(back.probs, track.probs)
-    assert back.recording_id == track.recording_id
-
-
-def test_track_header_check(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("frame,a,b,c,d,e\n0,0.2,0.2,0.2,0.2,0.2\n")
-    with pytest.raises(DataError, match="header"):
-        load_track(path, "s/a/0")

@@ -236,14 +236,21 @@ def test_bench_reports_processed_duration(pipeline):
     assert set(report["stages"]) == {"window", "decode", "stitch_count"}
 
 
-def test_bench_empty_dataset(tmp_path):
+def test_bench_empty_dataset(tmp_path, capsys):
     cfg = mini_config(tmp_path)
     (tmp_path / "data").mkdir()
-    assert main(["bench", "--config", str(cfg)]) == 0
-    report = json.loads((tmp_path / "out" / "bench.json").read_text())
-    assert report["n_recordings"] == 0
-    assert report["processed_duration_s"] == 0.0
-    assert report["seconds_per_minute"] == 0.0
+    assert main(["bench", "--config", str(cfg)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "bench.json").exists()
+
+
+def test_unreadable_model_file_exits_1(pipeline, tmp_path, capsys):
+    _, cfg_path = pipeline
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "model.0.bin").write_text("not a model\n")
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "not a model file" in capsys.readouterr().err
 
 
 def test_stream_command_writes_events(pipeline):
@@ -290,6 +297,18 @@ def test_stream_matches_batch(pipeline):
         assert result.session.tokens == session.tokens
         assert result.counts.counts == count(session).counts
         assert len(result.events) == len(result.lags_s)
+
+
+def test_stream_command_uses_config_geometry(tmp_path):
+    cfg = mini_config(tmp_path, window_s=8.0, core_s=4.0, max_epochs=1)
+    for command in ["synth", "train", "predict"]:
+        assert main([command, "--config", str(cfg)]) == 0
+    assert main(["stream", "--config", str(cfg), "--speed", "inf"]) == 0
+    first = json.loads((tmp_path / "out" / "sequences.jsonl").read_text().splitlines()[0])
+    streamed = json.loads((tmp_path / "out" / "stream_report.json").read_text())
+    assert streamed["recording"] == first["recording"]
+    assert streamed["sequence"] == first["sequence"]
+    assert streamed["n_windows"] == math.ceil(30.0 / 4.0)
 
 
 def test_stream_replay_rejects_bad_speed(pipeline):

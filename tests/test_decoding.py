@@ -18,10 +18,8 @@ from primcount.decoding import (
     WindowPrediction,
     count,
     counting_error,
-    decode_window,
     decode_windows,
     from_target,
-    session_report,
     stitch_windows,
 )
 from primcount.model import (
@@ -82,28 +80,28 @@ class TestDecodeWindow:
         a = constant_member([0.6, 0, 0, 0, 0.4, 0, 0])
         b = constant_member([0.2, 0, 0, 0, 0.8, 0, 0])
         ensemble = EnsembleModel(CFG, [a, b])
-        pred = decode_window(ensemble, toy_windows(1)[0])
+        pred = decode_windows(ensemble, toy_windows(1))[0]
         # averaged: reach 0.4, idle 0.6 -> idle wins every step until the cap
         assert pred.tokens == (I, I, I)
 
     def test_eos_immediately_gives_empty_prediction(self):
         member = constant_member([0, 0, 0, 0, 0, 0, 1.0])
         ensemble = EnsembleModel(CFG, [member])
-        pred = decode_window(ensemble, toy_windows(1)[0])
+        pred = decode_windows(ensemble, toy_windows(1))[0]
         assert pred.tokens == ()
 
     def test_tie_breaks_to_lowest_code(self):
         # idle and EOS get identical probability mass
         member = constant_member([0, 0, 0, 0, 0.5, 0, 0.5])
         ensemble = EnsembleModel(CFG, [member])
-        pred = decode_window(ensemble, toy_windows(1)[0])
+        pred = decode_windows(ensemble, toy_windows(1))[0]
         assert pred.tokens == (I, I, I)
 
     def test_sos_never_predicted(self):
         # SOS gets overwhelming probability; the decode must ignore it
         member = constant_member([0.01, 0, 0, 0, 0, 0.98, 0.01])
         ensemble = EnsembleModel(CFG, [member])
-        pred = decode_window(ensemble, toy_windows(1)[0])
+        pred = decode_windows(ensemble, toy_windows(1))[0]
         assert all(t == R for t in pred.tokens)
 
     def test_identical_members_match_single(self):
@@ -112,7 +110,7 @@ class TestDecodeWindow:
         one = EnsembleModel(CFG, [(params, stats)])
         four = EnsembleModel(CFG, [(params, stats)] * 4)
         for w in toy_windows(50, seed=7):
-            assert decode_window(four, w).tokens == decode_window(one, w).tokens
+            assert decode_windows(four, [w])[0].tokens == decode_windows(one, [w])[0].tokens
 
     def test_batched_matches_single(self):
         members = [(init_params(CFG, s), ident_stats()) for s in (1, 2, 3)]
@@ -120,15 +118,15 @@ class TestDecodeWindow:
         windows = toy_windows(40, seed=11)
         batched = decode_windows(ensemble, windows)
         for w, p in zip(windows, batched):
-            assert decode_window(ensemble, w).tokens == p.tokens
+            assert decode_windows(ensemble, [w])[0].tokens == p.tokens
             assert p.core_start == w.abs_core_start
 
     def test_member_normalization_applied(self):
         params = init_params(CFG, 5)
         w = toy_windows(1, seed=2)[0]
         shifted = NormalizationStats(np.full(4, 5.0), np.full(4, 0.5))
-        a = decode_window(EnsembleModel(CFG, [(params, ident_stats())]), w)
-        b = decode_window(EnsembleModel(CFG, [(params, shifted)]), w)
+        a = decode_windows(EnsembleModel(CFG, [(params, ident_stats())]), [w])[0]
+        b = decode_windows(EnsembleModel(CFG, [(params, shifted)]), [w])[0]
         # different stats shift the encoder input, so contexts differ;
         # decoded tokens may or may not differ, but the call must honor stats
         raw = w.frames
@@ -138,7 +136,7 @@ class TestDecodeWindow:
     def test_length_cap(self):
         member = constant_member([1.0, 0, 0, 0, 0, 0, 0])
         ensemble = EnsembleModel(CFG, [member])
-        pred = decode_window(ensemble, toy_windows(1)[0])
+        pred = decode_windows(ensemble, toy_windows(1))[0]
         assert len(pred) == CFG.max_decode_len - 1
 
 
@@ -288,12 +286,3 @@ class TestGroundTruthRoundTrip:
             session = stitch_windows(preds)
             assert session.tokens == labeled.class_sequence()
 
-
-class TestSessionReport:
-    def test_json_shape(self):
-        session = SessionPrediction("s00/drill_a/0", (R, T))
-        doc = session_report(session, count(session, activity="drill_a"))
-        assert doc["recording"] == "s00/drill_a/0"
-        assert doc["sequence"] == ["reach", "transport"]
-        assert doc["counts"]["reach"] == 1
-        assert doc["activity"] == "drill_a"

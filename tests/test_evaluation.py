@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats as scipy_stats
 
 from primcount.dataset import CLASSES, DataError, PrimitiveClass
 from primcount.evaluation import (
@@ -19,7 +18,6 @@ from primcount.evaluation import (
     confusion_matrix,
     f1_score,
     metrics,
-    spearman_rho,
     tally,
 )
 
@@ -352,38 +350,3 @@ def _total(records):
         t = t + r.tallies
     return t
 
-
-class TestSpearman:
-    def test_monotone(self):
-        xs = [1, 2, 3, 4, 5]
-        assert spearman_rho(xs, [2.0, 2.5, 7.0, 7.5, 9.0]) == 1.0
-        assert spearman_rho(xs, [9.0, 7.5, 7.0, 2.5, 2.0]) == -1.0
-
-    def test_tied_example_against_hand_ranks(self):
-        xs = [1, 2, 2, 3, 3, 3]
-        ys = [10, 8, 12, 9, 9, 11]
-        # mid-ranks: rx = [1, 2.5, 2.5, 5, 5, 5], ry = [4, 1, 6, 2.5, 2.5, 5]
-        expected = -2.0 / math.sqrt(255.0)
-        assert abs(spearman_rho(xs, ys) - expected) < 1e-12
-
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(42)
-        for _ in range(50):
-            n = int(rng.integers(3, 40))
-            xs = rng.integers(0, 10, size=n).astype(float)
-            ys = rng.normal(size=n)
-            ours = spearman_rho(xs, ys)
-            ref = scipy_stats.spearmanr(xs, ys).statistic
-            if math.isnan(ours):
-                assert math.isnan(ref)
-            else:
-                assert abs(ours - ref) < 1e-10
-
-    def test_zero_variance_undefined(self):
-        assert math.isnan(spearman_rho([1, 1, 1], [2.0, 3.0, 4.0]))
-
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(DataError):
-            spearman_rho([1], [2])
-        with pytest.raises(DataError):
-            spearman_rho([1, 2], [1, 2, 3])

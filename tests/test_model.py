@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -20,9 +21,8 @@ from primcount.model import (
     TrainConfig,
     TrainingData,
     TrainingError,
-    decode_step,
+    _encode_batch,
     decode_step_batch,
-    encode,
     grad_check,
     init_params,
     load_member,
@@ -60,7 +60,7 @@ def scalar_gru_step(p, x, h):
 
 
 def scalar_encode(params, frames):
-    """Oracle for encode(): explicit loops, no shared code with the model."""
+    """Oracle for the encoder: explicit loops, no shared code with the model."""
     T = frames.shape[0]
     H = params.config.hidden_dim
     h_f = [0.0] * H
@@ -77,6 +77,12 @@ def scalar_encode(params, frames):
     return np.array(ctx)
 
 
+def encode_one(params, frames):
+    """Context vector of one window through the batched encoder."""
+    ctx, _ = _encode_batch(params, frames[None])
+    return ctx[0]
+
+
 TINY = ModelConfig(input_dim=3, hidden_dim=4, embed_dim=5, max_decode_len=6)
 
 
@@ -84,14 +90,14 @@ class TestEncode:
     def test_zero_params_give_zero_context(self):
         params = zero_params(TINY)
         rng = np.random.default_rng(42)
-        ctx = encode(params, rng.normal(size=(12, 3)))
+        ctx = encode_one(params, rng.normal(size=(12, 3)))
         np.testing.assert_array_equal(ctx, 0.0)
 
     def test_deterministic(self):
         params = init_params(TINY, 3)
         frames = np.random.default_rng(4).normal(size=(15, 3))
-        a = encode(params, frames)
-        b = encode(params, frames)
+        a = encode_one(params, frames)
+        b = encode_one(params, frames)
         np.testing.assert_array_equal(a, b)
 
     def test_matches_scalar_oracle(self):
@@ -100,19 +106,20 @@ class TestEncode:
             params = init_params(TINY, seed)
             frames = rng.normal(size=(7, 3))
             np.testing.assert_allclose(
-                encode(params, frames), scalar_encode(params, frames), atol=1e-12
+                encode_one(params, frames), scalar_encode(params, frames), atol=1e-12
             )
 
     def test_shape_mismatch_rejected(self):
         params = init_params(TINY, 0)
         with pytest.raises(DataError, match="channels"):
-            encode(params, np.zeros((10, 5)))
+            _encode_batch(params, np.zeros((1, 10, 5)))
 
 
 class TestDecodeStep:
     def test_uniform_at_zero_params(self):
         params = zero_params(TINY)
-        probs, state = decode_step(params, np.zeros(4), SOS_TOKEN)
+        probs, state = decode_step_batch(params, np.zeros((1, 4)), np.array([SOS_TOKEN]))
+        assert probs.shape == (1, VOCAB_SIZE)
         np.testing.assert_allclose(probs, 1.0 / VOCAB_SIZE, atol=1e-12)
         np.testing.assert_array_equal(state, 0.0)
 
@@ -120,36 +127,20 @@ class TestDecodeStep:
         rng = np.random.default_rng(42)
         for seed in range(10):
             params = init_params(TINY, seed)
-            state = rng.normal(size=4)
-            token = int(rng.integers(0, VOCAB_SIZE))
-            probs, _ = decode_step(params, state, token)
+            state = rng.normal(size=(1, 4))
+            token = rng.integers(0, VOCAB_SIZE, size=1)
+            probs, _ = decode_step_batch(params, state, token)
             assert abs(probs.sum() - 1.0) < 1e-9
             assert (probs > 0).all() and (probs < 1).all()
 
     def test_dominant_logit_against_softmax_oracle(self):
         params = zero_params(TINY)
         params.out_b[2] = 20.0
-        probs, _ = decode_step(params, np.zeros(4), SOS_TOKEN)
+        probs, _ = decode_step_batch(params, np.zeros((1, 4)), np.array([SOS_TOKEN]))
         logits = np.array([0.0, 0.0, 20.0, 0.0, 0.0, 0.0, 0.0])
         expected = np.exp(logits) / np.exp(logits).sum()
-        np.testing.assert_allclose(probs, expected, atol=1e-12)
-        assert probs[2] > 0.999
-
-    def test_invalid_token_rejected(self):
-        params = init_params(TINY, 0)
-        with pytest.raises(DataError, match="vocabulary"):
-            decode_step(params, np.zeros(4), 7)
-
-    def test_batch_step_matches_single(self):
-        params = init_params(TINY, 5)
-        rng = np.random.default_rng(6)
-        states = rng.normal(size=(3, 4))
-        tokens = np.array([0, 4, SOS_TOKEN])
-        probs_b, states_b = decode_step_batch(params, states, tokens)
-        for i in range(3):
-            p, s = decode_step(params, states[i], int(tokens[i]))
-            np.testing.assert_allclose(probs_b[i], p, atol=1e-14)
-            np.testing.assert_allclose(states_b[i], s, atol=1e-14)
+        np.testing.assert_allclose(probs[0], expected, atol=1e-12)
+        assert probs[0, 2] > 0.999
 
 
 class TestSequenceLoss:
@@ -160,15 +151,15 @@ class TestSequenceLoss:
         assert abs(loss - math.log(7)) < 1e-12
 
     def test_matches_unrolled_public_api(self):
-        # hand-unroll teacher forcing through encode + decode_step
+        # hand-unroll teacher forcing through _encode_batch + decode_step_batch
         params = init_params(TINY, 11)
         frames = np.random.default_rng(12).normal(size=(9, 3))
         target = [1, 3]
-        state = encode(params, frames)
+        state, _ = _encode_batch(params, frames[None])
         total = 0.0
         for prev, sup in zip([SOS_TOKEN, 1, 3], [1, 3, EOS_TOKEN]):
-            probs, state = decode_step(params, state, prev)
-            total += -math.log(probs[sup])
+            probs, state = decode_step_batch(params, state, np.array([prev]))
+            total += -math.log(probs[0, sup])
         expected = total / 3.0
         assert abs(sequence_loss(params, frames, target) - expected) < 1e-12
 
@@ -387,18 +378,56 @@ class TestPersistence:
         with pytest.raises(DataError, match="format version"):
             load_member(path)
 
+    def _saved_doc(self, tmp_path):
+        path = tmp_path / "m.bin"
+        save_member(path, init_params(TINY, 2), NormalizationStats(np.zeros(3), np.ones(3)))
+        return path, json.loads(path.read_text())
+
+    def test_non_json_rejected(self, tmp_path):
+        path = tmp_path / "m.bin"
+        path.write_text("not a model\n")
+        with pytest.raises(DataError, match="not a model file"):
+            load_member(path)
+
+    def test_missing_top_level_key_rejected(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        del doc["normalization"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="normalization"):
+            load_member(path)
+
+    def test_unknown_model_config_key_rejected(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["model_config"]["dropout"] = 0.1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="unknown model_config keys"):
+            load_member(path)
+
+    def test_normalization_width_must_match_input_dim(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["normalization"]["mean"] = [0.0] * 4
+        doc["normalization"]["std"] = [1.0] * 4
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match="normalization covers 4 channels"):
+            load_member(path)
+
 
 class TestModelConfig:
     def test_validation(self):
         with pytest.raises(DataError):
             ModelConfig(hidden_dim=0)
-        with pytest.raises(DataError, match="cell type"):
-            ModelConfig(cell_type="lstm")
-        with pytest.raises(DataError, match="attention"):
-            ModelConfig(attention=True)
         assert ModelConfig().vocab_size == 7
         assert ModelConfig().max_decode_len == 17
 
     def test_json_round_trip(self):
         cfg = ModelConfig(input_dim=12, hidden_dim=32, embed_dim=8)
         assert ModelConfig.from_json(cfg.to_json()) == cfg
+
+    def test_retired_keys_read_only_at_their_legal_value(self):
+        doc = ModelConfig(input_dim=12).to_json()
+        assert "cell_type" not in doc and "attention" not in doc
+        older = {**doc, "cell_type": "gru", "attention": False}
+        assert ModelConfig.from_json(older) == ModelConfig(input_dim=12)
+        for key, value in [("cell_type", "lstm"), ("attention", True)]:
+            with pytest.raises(DataError, match=key):
+                ModelConfig.from_json({**doc, key: value})

@@ -14,7 +14,6 @@ from primcount.dataset import (
     synthetic_manifest,
 )
 from primcount.preprocess import (
-    Quaternion,
     NormalizationStats,
     TargetSequence,
     Window,
@@ -80,25 +79,6 @@ class TestQuaternionAlgebra:
     def test_zero_norm_rejected(self):
         with pytest.raises(DataError, match="zero-norm"):
             quat_normalize(np.zeros(4))
-        with pytest.raises(DataError, match="zero-norm"):
-            Quaternion(0.0, 0.0, 0.0, 0.0)
-
-    def test_quaternion_type_normalizes_on_construction(self):
-        q = Quaternion(2.0, 0.0, 0.0, 0.0)
-        assert q.w == 1.0
-        assert abs(q.norm - 1.0) < 1e-9
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            a = Quaternion.from_array(rng.normal(size=4))
-            b = Quaternion.from_array(rng.normal(size=4))
-            assert abs((a * b).norm - 1.0) < 1e-9
-
-    def test_type_and_array_multiplication_agree(self):
-        rng = np.random.default_rng(4)
-        a = quat_normalize(rng.normal(size=4))
-        b = quat_normalize(rng.normal(size=4))
-        c = Quaternion.from_array(a) * Quaternion.from_array(b)
-        np.testing.assert_allclose(c.as_array(), quat_multiply(a, b), atol=1e-12)
 
 
 def quat_recording(quats, extra=None, fs=100.0):
