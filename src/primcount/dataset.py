@@ -129,45 +129,6 @@ class ChannelManifest:
         return cls(channels)
 
 
-_SENSORS = (
-    "pelvis",
-    "spine_t10",
-    "spine_c7",
-    "upper_arm_l",
-    "upper_arm_r",
-    "forearm_l",
-    "forearm_r",
-    "hand_l",
-    "hand_r",
-)
-
-
-def default_manifest() -> ChannelManifest:
-    """The 77-channel layout shipped with the repository.
-
-    27 acceleration channels (9 sensors x 3 axes), 28 quaternion
-    components (7 proximal sensors x w/x/y/z), and 22 joint-angle
-    channels. The exact composition of real hardware streams varies;
-    every downstream operation consumes whatever the manifest declares.
-    """
-    channels = []
-    for sensor in _SENSORS:
-        for axis in ("x", "y", "z"):
-            channels.append(
-                ChannelDescriptor(f"{sensor}_acc_{axis}", sensor, KIND_ACCELERATION, "g")
-            )
-    for sensor in _SENSORS[:7]:
-        for comp in ("w", "x", "y", "z"):
-            channels.append(
-                ChannelDescriptor(f"{sensor}_quat_{comp}", sensor, KIND_QUATERNION, "1")
-            )
-    for i in range(22):
-        channels.append(
-            ChannelDescriptor(f"joint_angle_{i:02d}", "skeleton", KIND_JOINT_ANGLE, "deg")
-        )
-    return ChannelManifest(tuple(channels))
-
-
 def synthetic_manifest(n_channels: int) -> ChannelManifest:
     """All-acceleration manifest used for synthetic recordings."""
     channels = tuple(

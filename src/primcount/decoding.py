@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CLASSES, DataError, PrimitiveClass
-from .model import EOS_TOKEN, SOS_TOKEN, EnsembleModel, _encode_batch, decode_step_batch
+from .model import EOS_TOKEN, SOS_TOKEN, EnsembleModel, _encode_context, decode_step_batch
 from .preprocess import TargetSequence, Window, normalize_frames
 
 
@@ -97,10 +97,10 @@ def decode_windows(
     B = len(windows)
     max_tokens = ensemble.config.max_decode_len - 1
     raw = np.stack([w.frames for w in windows])
-    states = []
-    for params, stats in ensemble.members:
-        ctx, _ = _encode_batch(params, normalize_frames(raw, stats))
-        states.append(ctx)
+    states = [
+        _encode_context(params, normalize_frames(raw, stats))
+        for params, stats in ensemble.members
+    ]
 
     prev = np.full(B, SOS_TOKEN, dtype=np.int64)
     done = np.zeros(B, dtype=bool)

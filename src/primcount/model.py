@@ -12,11 +12,11 @@ Vocabulary: the 5 primitive classes (codes 0..4) plus SOS=5 and EOS=6.
 from __future__ import annotations
 
 import base64
-import copy
 import json
 import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,6 +60,9 @@ class ModelConfig:
     max_decode_len: int = 17  # max target tokens + EOS
 
     def __post_init__(self):
+        for f in fields(self):
+            if not isinstance(getattr(self, f.name), (int, np.integer)):
+                raise DataError(f"model {f.name} must be an integer")
         if self.hidden_dim < 1 or self.input_dim < 1 or self.embed_dim < 1:
             raise DataError("model dimensions must be positive")
         if self.max_decode_len < 2:
@@ -81,6 +84,8 @@ class ModelConfig:
     def from_json(cls, data: dict) -> "ModelConfig":
         """Inverse of to_json; also reads older files that still carry
         the retired keys, provided they hold their only legal value."""
+        if not isinstance(data, dict):
+            raise DataError("model_config is not an object")
         data = dict(data)
         for key, legal in _RETIRED_CONFIG_KEYS.items():
             if key in data and data.pop(key) != legal:
@@ -91,113 +96,80 @@ class ModelConfig:
         return cls(**data)
 
 
-@dataclass
+def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
+    """Name and shape of every parameter array, in initialization order.
+
+    A recurrent layer's arrays are named "<layer>.<gate array>": input
+    weights W, recurrent weights U and biases b of the reset gate r,
+    update gate z and candidate n.
+    """
+    D, H, E, V = config.input_dim, config.hidden_dim, config.embed_dim, VOCAB_SIZE
+
+    def gru(layer, d):
+        return ([(f"{layer}.W{g}", (d, H)) for g in "rzn"]
+                + [(f"{layer}.U{g}", (H, H)) for g in "rzn"]
+                + [(f"{layer}.b{g}", (H,)) for g in "rzn"])
+
+    return [
+        *gru("enc_fwd", D),
+        *gru("enc_bwd", D),
+        ("ctx_W", (2 * H, H)),
+        ("ctx_b", (H,)),
+        ("embed", (V, E)),
+        *gru("dec", E),  # input is the token embedding
+        ("out_W", (H, V)),
+        ("out_b", (V,)),
+    ]
+
+
 class GRUParams:
-    """One gated recurrent layer: update gate z, reset gate r, candidate n."""
-
-    Wr: np.ndarray
-    Wz: np.ndarray
-    Wn: np.ndarray
-    Ur: np.ndarray
-    Uz: np.ndarray
-    Un: np.ndarray
-    br: np.ndarray
-    bz: np.ndarray
-    bn: np.ndarray
-
-    _FIELDS = ("Wr", "Wz", "Wn", "Ur", "Uz", "Un", "br", "bz", "bn")
-
-    @classmethod
-    def zeros(cls, input_dim: int, hidden_dim: int) -> "GRUParams":
-        return cls(
-            *(np.zeros((input_dim, hidden_dim)) for _ in range(3)),
-            *(np.zeros((hidden_dim, hidden_dim)) for _ in range(3)),
-            *(np.zeros(hidden_dim) for _ in range(3)),
-        )
-
-    def arrays(self):
-        for name in self._FIELDS:
-            yield name, getattr(self, name)
+    """Views of one gated recurrent layer's arrays (Wr, Ur, br, ...)."""
 
 
-@dataclass
 class ModelParams:
-    config: ModelConfig
-    enc_fwd: GRUParams
-    enc_bwd: GRUParams
-    ctx_W: np.ndarray  # (2H, H)
-    ctx_b: np.ndarray  # (H,)
-    embed: np.ndarray  # (VOCAB, E)
-    dec: GRUParams  # input E
-    out_W: np.ndarray  # (H, VOCAB)
-    out_b: np.ndarray  # (VOCAB,)
+    """Every parameter in one flat float64 vector.
+
+    Each array of the layout is a view into the vector: ``ctx_W``,
+    ``embed``, ... directly, and the recurrent layers as ``enc_fwd.Wr``,
+    ``dec.bn``, ... Writing to a view writes to the vector.
+    """
+
+    def __init__(self, config: ModelConfig):
+        layout = _layout(config)
+        self.config = config
+        self.vector = np.zeros(sum(math.prod(shape) for _, shape in layout))
+        self._arrays: dict[str, np.ndarray] = {}
+        offset = 0
+        for name, shape in layout:
+            size = math.prod(shape)
+            view = self.vector[offset : offset + size].reshape(shape)
+            offset += size
+            self._arrays[name] = view
+            layer, _, field = name.rpartition(".")
+            owner = vars(self).setdefault(layer, GRUParams()) if layer else self
+            setattr(owner, field, view)
 
     def arrays(self) -> dict[str, np.ndarray]:
-        """Name -> live array references, in a stable order."""
-        out = {}
-        for prefix, gru in (("enc_fwd", self.enc_fwd), ("enc_bwd", self.enc_bwd),
-                            ("dec", self.dec)):
-            for name, arr in gru.arrays():
-                out[f"{prefix}.{name}"] = arr
-        out["ctx_W"] = self.ctx_W
-        out["ctx_b"] = self.ctx_b
-        out["embed"] = self.embed
-        out["out_W"] = self.out_W
-        out["out_b"] = self.out_b
-        return out
-
-    def n_parameters(self) -> int:
-        return sum(a.size for a in self.arrays().values())
+        """Name -> live array references, in layout order."""
+        return dict(self._arrays)
 
     def copy(self) -> "ModelParams":
-        return copy.deepcopy(self)
+        twin = ModelParams(self.config)
+        twin.vector[:] = self.vector
+        return twin
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
     """Uniform init in [-1/sqrt(hidden), +1/sqrt(hidden)], seeded."""
     rng = np.random.default_rng(seed)
     scale = 1.0 / math.sqrt(config.hidden_dim)
-
-    def u(*shape):
-        return rng.uniform(-scale, scale, size=shape)
-
-    D, H, E, V = config.input_dim, config.hidden_dim, config.embed_dim, VOCAB_SIZE
-
-    def gru(d):
-        return GRUParams(u(d, H), u(d, H), u(d, H),
-                         u(H, H), u(H, H), u(H, H),
-                         u(H), u(H), u(H))
-
-    return ModelParams(
-        config=config,
-        enc_fwd=gru(D),
-        enc_bwd=gru(D),
-        ctx_W=u(2 * H, H),
-        ctx_b=u(H),
-        embed=u(V, E),
-        dec=gru(E),
-        out_W=u(H, V),
-        out_b=u(V),
-    )
+    params = ModelParams(config)
+    params.vector[:] = rng.uniform(-scale, scale, size=params.vector.size)
+    return params
 
 
 def zero_params(config: ModelConfig) -> ModelParams:
-    D, H, E, V = config.input_dim, config.hidden_dim, config.embed_dim, VOCAB_SIZE
-    return ModelParams(
-        config=config,
-        enc_fwd=GRUParams.zeros(D, H),
-        enc_bwd=GRUParams.zeros(D, H),
-        ctx_W=np.zeros((2 * H, H)),
-        ctx_b=np.zeros(H),
-        embed=np.zeros((V, E)),
-        dec=GRUParams.zeros(E, H),
-        out_W=np.zeros((H, V)),
-        out_b=np.zeros(V),
-    )
-
-
-def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.arrays().items()}
+    return ModelParams(config)
 
 
 # ---------------------------------------------------------------------------
@@ -206,95 +178,86 @@ def _zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp of a non-positive argument never overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-@dataclass
-class _GRUCache:
+def _gru_step(p: GRUParams, x: np.ndarray, h: np.ndarray):
+    """One step of the cell. x: (B, D), h: (B, H).
+
+    Returns (h', gates) with gates = (r, z, n, hn); hn is the recurrent
+    candidate term before the reset gate.
+    """
+    r = _sigmoid(x @ p.Wr + h @ p.Ur + p.br)
+    z = _sigmoid(x @ p.Wz + h @ p.Uz + p.bz)
+    hn = h @ p.Un
+    n = np.tanh(x @ p.Wn + r * hn + p.bn)
+    return (1.0 - z) * n + z * h, (r, z, n, hn)
+
+
+class _GRUTape(NamedTuple):
+    """What backprop needs from a forward run over time."""
+
     xs: np.ndarray  # (T, B, D)
-    h_prev: np.ndarray  # (T, B, H)
-    r: np.ndarray
-    z: np.ndarray
-    n: np.ndarray
-    hn: np.ndarray  # recurrent candidate term before the reset gate
+    h0: np.ndarray  # (B, H)
+    hs: np.ndarray  # (T, B, H)
+    gates: list  # per step, the gates of _gru_step
 
 
 def _gru_forward(p: GRUParams, xs: np.ndarray, h0: np.ndarray):
-    """Run the cell over time. xs: (T, B, D); returns hs (T, B, H) + cache."""
-    T, B, _ = xs.shape
-    H = p.br.shape[0]
-    hs = np.empty((T, B, H))
-    cache = _GRUCache(
-        xs,
-        np.empty((T, B, H)),
-        np.empty((T, B, H)),
-        np.empty((T, B, H)),
-        np.empty((T, B, H)),
-        np.empty((T, B, H)),
-    )
+    """Run the cell over time. xs: (T, B, D); returns hs (T, B, H) + tape."""
+    hs = np.empty((xs.shape[0],) + h0.shape)
+    gates = []
     h = h0
-    for t in range(T):
-        x = xs[t]
-        r = _sigmoid(x @ p.Wr + h @ p.Ur + p.br)
-        z = _sigmoid(x @ p.Wz + h @ p.Uz + p.bz)
-        hn = h @ p.Un
-        n = np.tanh(x @ p.Wn + r * hn + p.bn)
-        cache.h_prev[t] = h
-        cache.r[t] = r
-        cache.z[t] = z
-        cache.n[t] = n
-        cache.hn[t] = hn
-        h = (1.0 - z) * n + z * h
+    for t, x in enumerate(xs):
+        h, g = _gru_step(p, x, h)
+        gates.append(g)
         hs[t] = h
-    return hs, cache
+    return hs, _GRUTape(xs, h0, hs, gates)
 
 
 def _gru_backward(
-    p: GRUParams, cache: _GRUCache, dhs: np.ndarray, want_dx: bool
+    p: GRUParams, tape: _GRUTape, dhs: np.ndarray, want_dx: bool, g: GRUParams
 ):
     """Backprop through time. dhs: upstream gradient on every h_t.
 
-    Returns (param grads, dxs or None, dh0).
+    Adds the parameter gradients into g; returns (dxs or None, dh0).
     """
-    T, B, _ = cache.xs.shape
-    g = {name: np.zeros_like(arr) for name, arr in p.arrays()}
-    dxs = np.zeros_like(cache.xs) if want_dx else None
+    T = tape.xs.shape[0]
+    dxs = np.zeros_like(tape.xs) if want_dx else None
     dh_next = np.zeros_like(dhs[0])
     for t in reversed(range(T)):
         dh = dhs[t] + dh_next
-        x, h_prev = cache.xs[t], cache.h_prev[t]
-        r, z, n, hn = cache.r[t], cache.z[t], cache.n[t], cache.hn[t]
+        x = tape.xs[t]
+        h_prev = tape.hs[t - 1] if t else tape.h0
+        r, z, n, hn = tape.gates[t]
 
         dz = dh * (h_prev - n) * z * (1.0 - z)
         dn = dh * (1.0 - z) * (1.0 - n * n)
         dh_prev = dh * z
 
-        g["Wn"] += x.T @ dn
-        g["bn"] += dn.sum(axis=0)
+        g.Wn += x.T @ dn
+        g.bn += dn.sum(axis=0)
         d_hn = dn * r
-        g["Un"] += h_prev.T @ d_hn
+        g.Un += h_prev.T @ d_hn
         dh_prev += d_hn @ p.Un.T
 
         dr = dn * hn * r * (1.0 - r)
-        g["Wr"] += x.T @ dr
-        g["br"] += dr.sum(axis=0)
-        g["Ur"] += h_prev.T @ dr
+        g.Wr += x.T @ dr
+        g.br += dr.sum(axis=0)
+        g.Ur += h_prev.T @ dr
         dh_prev += dr @ p.Ur.T
 
-        g["Wz"] += x.T @ dz
-        g["bz"] += dz.sum(axis=0)
-        g["Uz"] += h_prev.T @ dz
+        g.Wz += x.T @ dz
+        g.bz += dz.sum(axis=0)
+        g.Uz += h_prev.T @ dz
         dh_prev += dz @ p.Uz.T
 
         if want_dx:
             dxs[t] = dn @ p.Wn.T + dr @ p.Wr.T + dz @ p.Wz.T
         dh_next = dh_prev
-    return g, dxs, dh_next
+    return dxs, dh_next
 
 
 # ---------------------------------------------------------------------------
@@ -302,52 +265,56 @@ def _gru_backward(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _EncodeCache:
-    fwd: _GRUCache
-    bwd: _GRUCache
-    cat: np.ndarray  # (B, 2H)
-    ctx: np.ndarray  # (B, H)
-    T: int
-
-
-def _encode_batch(params: ModelParams, X: np.ndarray):
-    """X: (B, T, D) -> context (B, H) plus cache for backprop."""
+def _time_major(params: ModelParams, X: np.ndarray) -> np.ndarray:
+    """Check X: (B, T, D) against the model and return it as (T, B, D)."""
     if X.ndim != 3 or X.shape[2] != params.config.input_dim:
         raise DataError(
             f"encoder input has {X.shape[-1]} channels, "
             f"model expects {params.config.input_dim}"
         )
-    xs = np.ascontiguousarray(X.transpose(1, 0, 2))
-    B = X.shape[0]
-    H = params.config.hidden_dim
-    h0 = np.zeros((B, H))
-    hs_f, cache_f = _gru_forward(params.enc_fwd, xs, h0)
-    hs_b, cache_b = _gru_forward(params.enc_bwd, xs[::-1], h0)
-    cat = np.concatenate([hs_f[-1], hs_b[-1]], axis=1)
-    ctx = np.tanh(cat @ params.ctx_W + params.ctx_b)
-    return ctx, _EncodeCache(cache_f, cache_b, cat, ctx, xs.shape[0])
+    return np.ascontiguousarray(X.transpose(1, 0, 2))
+
+
+def _context(params: ModelParams, h_fwd: np.ndarray, h_bwd: np.ndarray):
+    """Final states of both directions -> (cat (B, 2H), context (B, H))."""
+    cat = np.concatenate([h_fwd, h_bwd], axis=1)
+    return cat, np.tanh(cat @ params.ctx_W + params.ctx_b)
+
+
+def _encode_batch(params: ModelParams, X: np.ndarray):
+    """X: (B, T, D) -> context (B, H) plus the tapes for backprop."""
+    xs = _time_major(params, X)
+    h0 = np.zeros((X.shape[0], params.config.hidden_dim))
+    hs_f, tape_f = _gru_forward(params.enc_fwd, xs, h0)
+    hs_b, tape_b = _gru_forward(params.enc_bwd, xs[::-1], h0)
+    cat, ctx = _context(params, hs_f[-1], hs_b[-1])
+    return ctx, (tape_f, tape_b, cat)
+
+
+def _encode_context(params: ModelParams, X: np.ndarray) -> np.ndarray:
+    """X: (B, T, D) -> context (B, H); keeps only the running states."""
+    xs = _time_major(params, X)
+    h_f = h_b = np.zeros((X.shape[0], params.config.hidden_dim))
+    for x_f, x_b in zip(xs, xs[::-1]):
+        h_f, _ = _gru_step(params.enc_fwd, x_f, h_f)
+        h_b, _ = _gru_step(params.enc_bwd, x_b, h_b)
+    return _context(params, h_f, h_b)[1]
 
 
 def _encode_backward(
-    params: ModelParams, cache: _EncodeCache, dctx: np.ndarray, grads: dict
+    params: ModelParams, ctx: np.ndarray, tapes, dctx: np.ndarray, grads: ModelParams
 ):
+    tape_f, tape_b, cat = tapes
     H = params.config.hidden_dim
-    dpre = dctx * (1.0 - cache.ctx * cache.ctx)
-    grads["ctx_W"] += cache.cat.T @ dpre
-    grads["ctx_b"] += dpre.sum(axis=0)
+    dpre = dctx * (1.0 - ctx * ctx)
+    grads.ctx_W += cat.T @ dpre
+    grads.ctx_b += dpre.sum(axis=0)
     dcat = dpre @ params.ctx_W.T
-    B = dctx.shape[0]
-    dhs = np.zeros((cache.T, B, H))
-    dhs[-1] = dcat[:, :H]
-    g_f, _, _ = _gru_backward(params.enc_fwd, cache.fwd, dhs, want_dx=False)
-    dhs = np.zeros((cache.T, B, H))
-    dhs[-1] = dcat[:, H:]
-    g_b, _, _ = _gru_backward(params.enc_bwd, cache.bwd, dhs, want_dx=False)
-    for name, arr in g_f.items():
-        grads[f"enc_fwd.{name}"] += arr
-    for name, arr in g_b.items():
-        grads[f"enc_bwd.{name}"] += arr
+    for p, tape, g, dh_last in ((params.enc_fwd, tape_f, grads.enc_fwd, dcat[:, :H]),
+                                (params.enc_bwd, tape_b, grads.enc_bwd, dcat[:, H:])):
+        dhs = np.zeros(tape.hs.shape)
+        dhs[-1] = dh_last
+        _gru_backward(p, tape, dhs, False, g)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +336,7 @@ def decode_step_batch(
     states: (B, H); prev_tokens: (B,) token ids. Returns (probabilities
     over the vocabulary (B, VOCAB), new states (B, H)).
     """
-    x = params.embed[prev_tokens]
-    hs, _ = _gru_forward(params.dec, x[None], states)
-    new_states = hs[0]
+    new_states, _ = _gru_step(params.dec, params.embed[prev_tokens], states)
     probs = _softmax(new_states @ params.out_W + params.out_b)
     return probs, new_states
 
@@ -403,13 +368,18 @@ def _batch_forward_backward(
     targets: list[np.ndarray],
     want_grads: bool = True,
 ):
-    """Mean per-window teacher-forced cross-entropy and its gradients."""
+    """Mean per-window teacher-forced cross-entropy and its gradients.
+
+    Decoder inputs are SOS followed by the target tokens; supervision is
+    the target tokens followed by EOS. Gradients come back as a name ->
+    array dict over the layout.
+    """
     B = X.shape[0]
     in_tokens, sup, mask = _teacher_arrays(targets)
     K = in_tokens.shape[1]
-    ctx, enc_cache = _encode_batch(params, X)
+    ctx, enc_tapes = _encode_batch(params, X)
     xs = np.ascontiguousarray(params.embed[in_tokens].transpose(1, 0, 2))
-    hs, dec_cache = _gru_forward(params.dec, xs, ctx)
+    hs, dec_tape = _gru_forward(params.dec, xs, ctx)
     logits = hs @ params.out_W + params.out_b  # (K, B, V)
     probs = _softmax(logits)
     kk, bb = np.meshgrid(np.arange(K), np.arange(B), indexing="ij")
@@ -426,20 +396,18 @@ def _batch_forward_backward(
     dlogits[kk, bb, sup.T] -= 1.0
     dlogits *= weights[:, :, None]
 
-    grads = _zero_grads(params)
-    grads["out_W"] += np.tensordot(hs, dlogits, axes=([0, 1], [0, 1]))
-    grads["out_b"] += dlogits.sum(axis=(0, 1))
+    grads = zero_params(params.config)
+    grads.out_W += np.tensordot(hs, dlogits, axes=([0, 1], [0, 1]))
+    grads.out_b += dlogits.sum(axis=(0, 1))
     dhs = dlogits @ params.out_W.T
-    g_dec, dxs, dctx = _gru_backward(params.dec, dec_cache, dhs, want_dx=True)
-    for name, arr in g_dec.items():
-        grads[f"dec.{name}"] += arr
+    dxs, dctx = _gru_backward(params.dec, dec_tape, dhs, True, grads.dec)
     np.add.at(
-        grads["embed"],
+        grads.embed,
         in_tokens.T.reshape(-1),
         dxs.reshape(-1, params.config.embed_dim),
     )
-    _encode_backward(params, enc_cache, dctx, grads)
-    return loss, grads
+    _encode_backward(params, ctx, enc_tapes, dctx, grads)
+    return loss, grads.arrays()
 
 
 def _frames_of(window) -> np.ndarray:
@@ -455,25 +423,6 @@ def _codes_of(target) -> np.ndarray:
     if codes.size == 0:
         raise DataError("empty target sequence")
     return codes
-
-
-def sequence_loss(params: ModelParams, window, target) -> float:
-    """Teacher-forced cross-entropy for one window, averaged per step.
-
-    Decoder inputs are SOS followed by the target tokens; supervision is
-    the target tokens followed by EOS.
-    """
-    loss, _ = _batch_forward_backward(
-        params, _frames_of(window)[None], [_codes_of(target)], want_grads=False
-    )
-    return loss
-
-
-def loss_gradients(params: ModelParams, window, target):
-    """(loss, gradient dict) for one window; used by grad_check and tests."""
-    return _batch_forward_backward(
-        params, _frames_of(window)[None], [_codes_of(target)]
-    )
 
 
 def grad_check(
@@ -494,16 +443,13 @@ def grad_check(
     frames = _frames_of(window)
     codes = _codes_of(target)
     _, grads = _batch_forward_backward(params, frames[None], [codes])
-    arrays = params.arrays()
-    names = list(arrays)
-    sizes = np.array([arrays[n].size for n in names])
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    total = int(offsets[-1])
+    analytic = np.concatenate([g.ravel() for g in grads.values()])  # layout order
+    theta = params.vector
     rng = np.random.default_rng(seed)
-    if n_samples >= total:
-        flat_idx = np.arange(total)
+    if n_samples >= theta.size:
+        flat_idx = np.arange(theta.size)
     else:
-        flat_idx = rng.choice(total, size=n_samples, replace=False)
+        flat_idx = rng.choice(theta.size, size=n_samples, replace=False)
 
     def loss_only():
         loss, _ = _batch_forward_backward(
@@ -512,19 +458,15 @@ def grad_check(
         return loss
 
     worst = 0.0
-    for fi in sorted(int(i) for i in flat_idx):
-        k = int(np.searchsorted(offsets, fi, side="right") - 1)
-        arr = arrays[names[k]]
-        local = fi - int(offsets[k])
-        idx = np.unravel_index(local, arr.shape)
-        orig = arr[idx]
-        arr[idx] = orig + epsilon
+    for i in sorted(int(i) for i in flat_idx):
+        orig = theta[i]
+        theta[i] = orig + epsilon
         loss_plus = loss_only()
-        arr[idx] = orig - epsilon
+        theta[i] = orig - epsilon
         loss_minus = loss_only()
-        arr[idx] = orig
+        theta[i] = orig
         fd = (loss_plus - loss_minus) / (2.0 * epsilon)
-        an = grads[names[k]][idx]
+        an = analytic[i]
         denom = max(abs(fd) + abs(an), 1e-8)
         worst = max(worst, abs(fd - an) / denom)
     return worst
@@ -574,9 +516,6 @@ class Adam:
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 5e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     batch_size: int = 32
     max_epochs: int = 100
     patience: int = 10
@@ -703,12 +642,7 @@ def train_member(
 
     params = init_params(model_config, train_config.seed)
     arrays = params.arrays()
-    opt = Adam(
-        lr=train_config.learning_rate,
-        beta1=train_config.beta1,
-        beta2=train_config.beta2,
-        eps=train_config.adam_eps,
-    )
+    opt = Adam(lr=train_config.learning_rate)
     shuffle_rng = np.random.default_rng(
         np.random.SeedSequence((train_config.seed, 0x51))
     )
@@ -797,9 +731,12 @@ def _encode_array(arr: np.ndarray) -> dict:
     }
 
 
-def _decode_array(obj: dict) -> np.ndarray:
-    raw = base64.b64decode(obj["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).astype(np.float64)
+def _decode_array(name: str, obj: dict) -> np.ndarray:
+    try:
+        raw = base64.b64decode(obj["data"], validate=True)
+        return np.frombuffer(raw, dtype="<f8").reshape(obj["shape"]).astype(np.float64)
+    except (KeyError, TypeError, ValueError) as e:  # binascii.Error is a ValueError
+        raise DataError(f"array {name} is malformed ({e!r})") from None
 
 
 def save_member(
@@ -831,10 +768,10 @@ def load_member(path: str | Path) -> tuple[ModelParams, NormalizationStats]:
     params = zero_params(config)
     arrays = params.arrays()
     stored = doc["arrays"]
-    if set(stored) != set(arrays):
+    if not isinstance(stored, dict) or set(stored) != set(arrays):
         raise DataError("model file arrays do not match the architecture")
     for name, arr in arrays.items():
-        loaded = _decode_array(stored[name])
+        loaded = _decode_array(name, stored[name])
         if loaded.shape != arr.shape:
             raise DataError(f"array {name} has shape {loaded.shape}, "
                             f"expected {arr.shape}")

@@ -120,7 +120,10 @@ class NormalizationStats:
 
     @classmethod
     def from_json(cls, data: dict) -> "NormalizationStats":
-        return cls(np.array(data["mean"]), np.array(data["std"]), data["source_split"])
+        try:
+            return cls(np.array(data["mean"]), np.array(data["std"]), data["source_split"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"malformed normalization ({e!r})") from None
 
 
 def fit_normalization(

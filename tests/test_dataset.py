@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from primcount.dataset import (
     PrimitiveSegment,
     SynthSpec,
     class_signature,
-    default_manifest,
     load_dataset,
     load_recording,
     save_dataset,
@@ -47,9 +47,16 @@ class TestPrimitiveClass:
             PrimitiveClass.from_label("grasp")
 
 
+SHIPPED_MANIFEST = Path(__file__).resolve().parents[1] / "configs" / "manifest.json"
+
+
+def shipped_manifest():
+    return ChannelManifest.from_json(json.loads(SHIPPED_MANIFEST.read_text()))
+
+
 class TestManifest:
     def test_default_manifest_has_77_channels(self):
-        m = default_manifest()
+        m = shipped_manifest()
         assert m.channel_count == 77
         kinds = [c.kind for c in m.channels]
         assert kinds.count("acceleration") == 27
@@ -57,7 +64,7 @@ class TestManifest:
         assert kinds.count("joint-angle") == 22
 
     def test_quaternion_groups_are_contiguous_fours(self):
-        m = default_manifest()
+        m = shipped_manifest()
         groups = m.quaternion_groups()
         assert len(groups) == 7
         for start in groups:
@@ -74,7 +81,7 @@ class TestManifest:
             ChannelManifest(channels)
 
     def test_json_round_trip(self):
-        m = default_manifest()
+        m = shipped_manifest()
         assert ChannelManifest.from_json(m.to_json()) == m
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -32,6 +33,7 @@ from primcount.model import (
 )
 from primcount.preprocess import (
     NormalizationStats,
+    Window,
     WindowSpec,
     derive_target_sequence,
     make_windows,
@@ -57,8 +59,6 @@ def constant_member(probs5_and_special, cfg=CFG):
 
 
 def toy_windows(n, cfg=CFG, seed=0):
-    from primcount.preprocess import Window
-
     rng = np.random.default_rng(seed)
     flank = 2
     core = 6
@@ -138,6 +138,23 @@ class TestDecodeWindow:
         ensemble = EnsembleModel(CFG, [member])
         pred = decode_windows(ensemble, toy_windows(1))[0]
         assert len(pred) == CFG.max_decode_len - 1
+
+    def test_memory_bounded_by_window_frames(self):
+        # paper geometry: 6 s windows at 100 Hz, 77 channels, H=64; the
+        # decode may copy the frames a few times but keeps no per-step state
+        cfg = ModelConfig(input_dim=77, hidden_dim=64, embed_dim=32)
+        ensemble = EnsembleModel(cfg, [(init_params(cfg, 0), ident_stats(77))])
+        rng = np.random.default_rng(0)
+        windows = [Window("rec/a/0", 400 * k - 100, 100, 500, rng.normal(size=(600, 77)))
+                   for k in range(10)]
+        frame_bytes = sum(w.frames.nbytes for w in windows)
+        tracemalloc.start()
+        try:
+            decode_windows(ensemble, windows)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * frame_bytes, peak / frame_bytes
 
 
 class TestWindowPrediction:

@@ -21,15 +21,17 @@ from primcount.model import (
     TrainConfig,
     TrainingData,
     TrainingError,
+    _batch_forward_backward,
     _encode_batch,
+    _encode_context,
+    _layout,
+    _sigmoid,
     decode_step_batch,
     grad_check,
     init_params,
     load_member,
-    loss_gradients,
     member_seed,
     save_member,
-    sequence_loss,
     train_ensemble,
     train_member,
     zero_params,
@@ -78,12 +80,51 @@ def scalar_encode(params, frames):
 
 
 def encode_one(params, frames):
-    """Context vector of one window through the batched encoder."""
-    ctx, _ = _encode_batch(params, frames[None])
+    """Context vector of one window through the inference encoder, which
+    must match the training encoder bit for bit."""
+    ctx = _encode_context(params, frames[None])
+    np.testing.assert_array_equal(ctx, _encode_batch(params, frames[None])[0])
     return ctx[0]
 
 
 TINY = ModelConfig(input_dim=3, hidden_dim=4, embed_dim=5, max_decode_len=6)
+
+
+class TestParams:
+    def test_init_matches_draws_one_array_at_a_time(self):
+        params = init_params(TINY, 3)
+        rng = np.random.default_rng(3)
+        scale = 1.0 / math.sqrt(TINY.hidden_dim)
+        arrays = params.arrays()
+        assert list(arrays) == [name for name, _ in _layout(TINY)]
+        for name, shape in _layout(TINY):
+            np.testing.assert_array_equal(arrays[name], rng.uniform(-scale, scale, size=shape))
+
+    def test_arrays_are_views_of_one_vector(self):
+        params = zero_params(TINY)
+        params.dec.Wn[1, 2] = 3.0
+        params.arrays()["out_b"][0] = 4.0
+        assert params.vector.sum() == 7.0
+        assert params.arrays()["dec.Wn"][1, 2] == 3.0 and params.out_b[0] == 4.0
+        twin = params.copy()
+        twin.out_b[0] = 0.0
+        assert params.out_b[0] == 4.0 and twin.vector.sum() == 3.0
+
+
+class TestSigmoid:
+    def test_bitwise_equal_to_both_reference_forms(self):
+        rng = np.random.default_rng(0)
+        x = np.concatenate([
+            rng.normal(scale=10.0, size=1000),
+            [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324],
+        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            positive = 1.0 / (1.0 + np.exp(-x))
+            negative = np.exp(x) / (1.0 + np.exp(x))
+        reference = np.where(x >= 0, positive, negative)
+        np.testing.assert_array_equal(_sigmoid(x), reference)
+        np.testing.assert_array_equal(_sigmoid(x[x >= 0]), positive[x >= 0])
+        np.testing.assert_array_equal(_sigmoid(x[x < 0]), negative[x < 0])
 
 
 class TestEncode:
@@ -111,8 +152,9 @@ class TestEncode:
 
     def test_shape_mismatch_rejected(self):
         params = init_params(TINY, 0)
-        with pytest.raises(DataError, match="channels"):
-            _encode_batch(params, np.zeros((1, 10, 5)))
+        for encode in (_encode_batch, _encode_context):
+            with pytest.raises(DataError, match="channels"):
+                encode(params, np.zeros((1, 10, 5)))
 
 
 class TestDecodeStep:
@@ -147,21 +189,22 @@ class TestSequenceLoss:
     def test_uniform_loss_is_ln7(self):
         params = zero_params(TINY)
         frames = np.random.default_rng(0).normal(size=(10, 3))
-        loss = sequence_loss(params, frames, [0, 2, 4])
+        loss, _ = _batch_forward_backward(params, frames[None], [np.array([0, 2, 4])])
         assert abs(loss - math.log(7)) < 1e-12
 
     def test_matches_unrolled_public_api(self):
-        # hand-unroll teacher forcing through _encode_batch + decode_step_batch
+        # hand-unroll teacher forcing through _encode_context + decode_step_batch
         params = init_params(TINY, 11)
         frames = np.random.default_rng(12).normal(size=(9, 3))
         target = [1, 3]
-        state, _ = _encode_batch(params, frames[None])
+        state = _encode_context(params, frames[None])
         total = 0.0
         for prev, sup in zip([SOS_TOKEN, 1, 3], [1, 3, EOS_TOKEN]):
             probs, state = decode_step_batch(params, state, np.array([prev]))
             total += -math.log(probs[0, sup])
         expected = total / 3.0
-        assert abs(sequence_loss(params, frames, target) - expected) < 1e-12
+        loss, _ = _batch_forward_backward(params, frames[None], [np.array(target)])
+        assert abs(loss - expected) < 1e-12
 
     def test_saturated_correct_model_has_zero_loss_and_gradient(self):
         # decoder reacts only to the previous token: SOS -> class 2 -> EOS
@@ -174,7 +217,7 @@ class TestSequenceLoss:
         params.out_W[0, 2] = 160.0
         params.out_W[1, EOS_TOKEN] = 160.0
         frames = np.random.default_rng(1).normal(size=(8, 3))
-        loss, grads = loss_gradients(params, frames, [2])
+        loss, grads = _batch_forward_backward(params, frames[None], [np.array([2])])
         assert loss < 1e-12
         norm = math.sqrt(sum(float((g**2).sum()) for g in grads.values()))
         assert norm < 1e-6
@@ -182,18 +225,16 @@ class TestSequenceLoss:
     def test_empty_target_rejected(self):
         params = init_params(TINY, 0)
         with pytest.raises(DataError, match="empty target"):
-            sequence_loss(params, np.zeros((5, 3)), [])
+            grad_check(params, np.zeros((5, 3)), [])
 
     def test_batch_loss_is_mean_of_window_losses(self):
-        from primcount.model import _batch_forward_backward
-
         params = init_params(TINY, 7)
         rng = np.random.default_rng(8)
         X = rng.normal(size=(3, 10, 3))
         targets = [np.array([0]), np.array([1, 2, 3]), np.array([4, 4])]
         batch_loss, _ = _batch_forward_backward(params, X, targets)
         singles = [
-            sequence_loss(params, X[i], targets[i].tolist()) for i in range(3)
+            _batch_forward_backward(params, X[i : i + 1], [targets[i]])[0] for i in range(3)
         ]
         assert abs(batch_loss - np.mean(singles)) < 1e-12
 
@@ -401,6 +442,32 @@ class TestPersistence:
         doc["model_config"]["dropout"] = 0.1
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match="unknown model_config keys"):
+            load_member(path)
+
+    @pytest.mark.parametrize("case", [
+        "array_without_data", "data_size_not_shape", "bad_base64",
+        "normalization_without_std", "normalization_without_mean",
+        "model_config_not_object", "hidden_dim_string",
+    ])
+    def test_malformed_content_rejected(self, tmp_path, case):
+        path, doc = self._saved_doc(tmp_path)
+        arrays = doc["arrays"]
+        if case == "array_without_data":
+            del arrays["out_b"]["data"]
+        elif case == "data_size_not_shape":
+            arrays["out_b"]["data"] = arrays["ctx_b"]["data"]  # 4 values, shape [7]
+        elif case == "bad_base64":
+            arrays["out_b"]["data"] = "not base64!"
+        elif case == "normalization_without_std":
+            del doc["normalization"]["std"]
+        elif case == "normalization_without_mean":
+            del doc["normalization"]["mean"]
+        elif case == "model_config_not_object":
+            doc["model_config"] = [3, 4, 5, 6]
+        elif case == "hidden_dim_string":
+            doc["model_config"]["hidden_dim"] = "4"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError):
             load_member(path)
 
     def test_normalization_width_must_match_input_dim(self, tmp_path):

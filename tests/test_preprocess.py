@@ -1,15 +1,17 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from primcount.dataset import (
+    ChannelManifest,
     DataError,
     IMURecording,
     PrimitiveClass,
     PrimitiveSegment,
     SynthSpec,
-    default_manifest,
     synthesize_dataset,
     synthetic_manifest,
 )
@@ -153,7 +155,8 @@ class TestSensorCentricTransform:
             sensor_centric_transform(rec, one_sensor_manifest(0))
 
     def test_default_manifest_all_groups_transformed(self):
-        manifest = default_manifest()
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "manifest.json"
+        manifest = ChannelManifest.from_json(json.loads(shipped.read_text()))
         rng = np.random.default_rng(8)
         frames = rng.normal(size=(15, manifest.channel_count))
         for start in manifest.quaternion_groups():
