@@ -78,6 +78,10 @@ class ConfigError(ValueError):
     """Bad usage or configuration; maps to exit code 2."""
 
 
+# RunConfig field annotation -> JSON value types it accepts
+_JSON_TYPES = {"str": (str,), "int": (int,), "float": (int, float), "bool": (bool,)}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs beyond the data itself.
@@ -121,10 +125,23 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RunConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(obj) - known
+        if not isinstance(obj, dict):
+            raise ConfigError("config is not a JSON object")
+        annotations = {f.name: f.type for f in fields(cls)}
+        unknown = set(obj) - set(annotations)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in obj.items():
+            legal = _JSON_TYPES[annotations[key]]
+            # bool is an int subclass, but legal in bool fields only
+            if not isinstance(value, legal) or (
+                isinstance(value, bool) and bool not in legal
+            ):
+                raise ConfigError(
+                    f"config {key} must be of type {annotations[key]}, got {value!r}"
+                )
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"config {key} must be finite, got {value!r}")
         return cls(**obj)
 
     def config_hash(self) -> str:
@@ -200,7 +217,15 @@ def _require_dataset(cfg: RunConfig) -> SyntheticDataset:
     root = Path(cfg.data_root)
     if not root.is_dir():
         raise DataError(f"dataset directory not found: {root}")
-    return load_dataset(root)
+    dataset = load_dataset(root)
+    for labeled in dataset.recordings:
+        rec = labeled.recording
+        if rec.sample_rate_hz != cfg.sample_rate_hz:
+            raise DataError(
+                f"{rec.recording_id} is sampled at {rec.sample_rate_hz} Hz, "
+                f"config sample_rate_hz is {cfg.sample_rate_hz}"
+            )
+    return dataset
 
 
 def _model_paths(out_dir: Path) -> list[Path]:

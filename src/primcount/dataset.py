@@ -296,8 +296,8 @@ def load_recording(
     recording = IMURecording(
         subject_id=meta["subject_id"],
         activity=meta["activity"],
-        trial=int(meta["trial"]),
-        sample_rate_hz=float(meta.get("sample_rate_hz", 100.0)),
+        trial=meta["trial"],
+        sample_rate_hz=float(meta["sample_rate_hz"]),
         frames=frames,
     )
     recording.validate_against(manifest)
@@ -361,11 +361,23 @@ def _load_meta(labels_path: Path) -> dict:
     meta_path = labels_path.with_suffix("").with_suffix(".meta.json")
     if not meta_path.exists():
         raise DataError(f"{meta_path}: missing metadata file")
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    for key in ("subject_id", "activity", "trial"):
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{meta_path}: parse failure: {exc}") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{meta_path}: metadata file must hold a JSON object")
+    for key in ("subject_id", "activity", "trial", "sample_rate_hz"):
         if key not in meta:
             raise DataError(f"{meta_path}: missing field {key!r}")
+    try:
+        meta["trial"] = int(meta["trial"])
+    except (TypeError, ValueError):
+        raise DataError(f"{meta_path}: trial {meta['trial']!r} is not an integer") from None
+    rate = meta["sample_rate_hz"]
+    if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+        raise DataError(f"{meta_path}: sample_rate_hz {rate!r} is not a number")
     return meta
 
 

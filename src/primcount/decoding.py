@@ -96,9 +96,10 @@ def decode_windows(
         return []
     B = len(windows)
     max_tokens = ensemble.config.max_decode_len - 1
-    raw = np.stack([w.frames for w in windows])
+    raw = np.stack([w.frames for w in windows], axis=1)  # (T, B, D)
+    normalized = np.empty(raw.shape)  # one buffer, reused by every member
     states = [
-        _encode_context(params, normalize_frames(raw, stats))
+        _encode_context(params, normalize_frames(raw, stats, out=normalized))
         for params, stats in ensemble.members
     ]
 

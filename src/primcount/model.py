@@ -14,6 +14,9 @@ from __future__ import annotations
 import base64
 import json
 import math
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -131,13 +134,15 @@ class ModelParams:
 
     Each array of the layout is a view into the vector: ``ctx_W``,
     ``embed``, ... directly, and the recurrent layers as ``enc_fwd.Wr``,
-    ``dec.bn``, ... Writing to a view writes to the vector.
+    ``dec.bn``, ... Writing to a view writes to the vector. ``vector``
+    (zeros when omitted) becomes the storage itself, not a copy of it.
     """
 
-    def __init__(self, config: ModelConfig):
+    def __init__(self, config: ModelConfig, vector: np.ndarray | None = None):
         layout = _layout(config)
         self.config = config
-        self.vector = np.zeros(sum(math.prod(shape) for _, shape in layout))
+        size = sum(math.prod(shape) for _, shape in layout)
+        self.vector = np.zeros(size) if vector is None else vector
         self._arrays: dict[str, np.ndarray] = {}
         offset = 0
         for name, shape in layout:
@@ -154,9 +159,11 @@ class ModelParams:
         return dict(self._arrays)
 
     def copy(self) -> "ModelParams":
-        twin = ModelParams(self.config)
-        twin.vector[:] = self.vector
-        return twin
+        return ModelParams(self.config, self.vector.copy())
+
+    def __reduce__(self):
+        # pickle the config and the vector only; unpickling rebuilds the views
+        return ModelParams, (self.config, self.vector)
 
 
 def init_params(config: ModelConfig, seed: int) -> ModelParams:
@@ -265,14 +272,13 @@ def _gru_backward(
 # ---------------------------------------------------------------------------
 
 
-def _time_major(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    """Check X: (B, T, D) against the model and return it as (T, B, D)."""
+def _check_channels(params: ModelParams, X: np.ndarray) -> None:
+    """X is 3-d with the model's channel count on its last axis."""
     if X.ndim != 3 or X.shape[2] != params.config.input_dim:
         raise DataError(
             f"encoder input has {X.shape[-1]} channels, "
             f"model expects {params.config.input_dim}"
         )
-    return np.ascontiguousarray(X.transpose(1, 0, 2))
 
 
 def _context(params: ModelParams, h_fwd: np.ndarray, h_bwd: np.ndarray):
@@ -283,7 +289,8 @@ def _context(params: ModelParams, h_fwd: np.ndarray, h_bwd: np.ndarray):
 
 def _encode_batch(params: ModelParams, X: np.ndarray):
     """X: (B, T, D) -> context (B, H) plus the tapes for backprop."""
-    xs = _time_major(params, X)
+    _check_channels(params, X)
+    xs = np.ascontiguousarray(X.transpose(1, 0, 2))
     h0 = np.zeros((X.shape[0], params.config.hidden_dim))
     hs_f, tape_f = _gru_forward(params.enc_fwd, xs, h0)
     hs_b, tape_b = _gru_forward(params.enc_bwd, xs[::-1], h0)
@@ -291,10 +298,11 @@ def _encode_batch(params: ModelParams, X: np.ndarray):
     return ctx, (tape_f, tape_b, cat)
 
 
-def _encode_context(params: ModelParams, X: np.ndarray) -> np.ndarray:
-    """X: (B, T, D) -> context (B, H); keeps only the running states."""
-    xs = _time_major(params, X)
-    h_f = h_b = np.zeros((X.shape[0], params.config.hidden_dim))
+def _encode_context(params: ModelParams, xs: np.ndarray) -> np.ndarray:
+    """xs: (T, B, D), time-major -> context (B, H); keeps only the running
+    states."""
+    _check_channels(params, xs)
+    h_f = h_b = np.zeros((xs.shape[1], params.config.hidden_dim))
     for x_f, x_b in zip(xs, xs[::-1]):
         h_f, _ = _gru_step(params.enc_fwd, x_f, h_f)
         h_b, _ = _gru_step(params.enc_bwd, x_b, h_b)
@@ -689,6 +697,29 @@ def member_seed(seed: int, fold_index: int) -> int:
     return int(state[0] % (2**63))
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# A worker's train_member arguments, one tuple per fold; set in each
+# worker process by _set_fold_jobs, never in the process that trains.
+_fold_jobs: list = []
+
+
+def _set_fold_jobs(jobs: list) -> None:
+    global _fold_jobs
+    _fold_jobs = jobs
+
+
+def _train_fold(i: int):
+    # train_member is looked up here, in the worker, so a replacement
+    # installed in this module before the fork runs, even one that
+    # cannot be pickled
+    return train_member(*_fold_jobs[i])
+
+
 def train_ensemble(
     data: TrainingData,
     model_config: ModelConfig,
@@ -700,16 +731,28 @@ def train_ensemble(
 
     Each member's seed derives only from (seed, fold index), so training
     them in any order, or separately, produces identical parameters.
+    The members train in min(n_folds, usable CPUs) forked worker
+    processes; results come back in fold order, and the first failing
+    member's exception is raised here.
     """
     subjects = sorted({r.recording.subject_id for r in data.recordings})
     folds = split_subjects(subjects, n_folds=n_folds, seed=seed)
-    members = []
-    logs = []
-    for i, fold in enumerate(folds):
-        cfg = replace(train_config, seed=member_seed(seed, i))
-        params, stats, log = train_member(fold, data, model_config, cfg)
-        members.append((params, stats))
-        logs.append(log)
+    jobs = [
+        (fold, data, model_config, replace(train_config, seed=member_seed(seed, i)))
+        for i, fold in enumerate(folds)
+    ]
+    # fork, so workers inherit the jobs (recordings shared copy-on-write)
+    # and this module's functions as they are now; only fold indices and
+    # results cross a pickle
+    with ProcessPoolExecutor(
+        max_workers=min(len(jobs), _usable_cpus()),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_set_fold_jobs,
+        initargs=(jobs,),
+    ) as pool:
+        results = list(pool.map(_train_fold, range(len(jobs))))
+    members = [(params, stats) for params, stats, _ in results]
+    logs = [log for _, _, log in results]
     return EnsembleModel(model_config, members), logs
 
 

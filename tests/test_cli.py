@@ -66,6 +66,29 @@ def test_config_rejects_unknown_keys():
         RunConfig.from_json({"hidden": 3})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", "32"),
+    ("learning_rate", "0.002"),
+    ("hidden_dim", "16"),
+    ("hidden_dim", 16.0),
+    ("n_folds", True),
+    ("with_baseline", 1),
+    ("data_root", 3),
+    ("duration_s", None),
+    ("duration_s", math.nan),
+    ("learning_rate", math.inf),
+])
+def test_config_type_error_is_usage_error(tmp_path, capsys, key, value):
+    cfg = mini_config(tmp_path, **{key: value})
+    assert main(["synth", "--config", str(cfg)]) == 2
+    assert f"config {key} must be " in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+def test_config_accepts_int_for_float_field():
+    assert RunConfig.from_json({"duration_s": 30, "learning_rate": 1}).duration_s == 30
+
+
 def test_config_hash_changes_with_any_field():
     base = RunConfig()
     assert base.config_hash() == RunConfig().config_hash()
@@ -155,6 +178,32 @@ def test_eval_without_predictions_fails(tmp_path):
 def test_train_without_data_fails(tmp_path):
     cfg = mini_config(tmp_path)
     assert main(["train", "--config", str(cfg)]) == 1
+
+
+def test_train_divergence_exits_1(tmp_path, monkeypatch, capsys):
+    import primcount.model as model_mod
+
+    original = model_mod.init_params
+
+    def poisoned(config, seed):
+        params = original(config, seed)
+        params.out_b[0] = np.nan
+        return params
+
+    cfg = mini_config(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    monkeypatch.setattr(model_mod, "init_params", poisoned)
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert "diverged" in capsys.readouterr().err
+
+
+def test_sample_rate_mismatch_fails(tmp_path, capsys):
+    cfg = mini_config(tmp_path)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    other = mini_config(tmp_path, name="other.json", sample_rate_hz=100.0)
+    assert main(["train", "--config", str(other)]) == 1
+    assert "config sample_rate_hz is 100.0" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "split.json").exists()
 
 
 @pytest.fixture(scope="module")

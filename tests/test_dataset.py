@@ -179,6 +179,31 @@ class TestFileIO:
         with pytest.raises(DataError, match="overlapping segments"):
             load_recording(frames_path, labels_path, ds.manifest)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.pop("sample_rate_hz"), "missing field 'sample_rate_hz'"),
+        (lambda m: m.update(sample_rate_hz="fast"), "sample_rate_hz 'fast' is not a number"),
+        (lambda m: m.update(sample_rate_hz=True), "sample_rate_hz True is not a number"),
+        (lambda m: m.update(trial="first"), "trial 'first' is not an integer"),
+        ("{\"subject_id\": ", "parse failure"),
+        ("[1, 2]", "must hold a JSON object"),
+    ])
+    def test_malformed_metadata_is_an_error(self, tmp_path, edit, message):
+        spec = SynthSpec(n_subjects=1, trials_per_subject=1, duration_s=2.0,
+                         sample_rate_hz=50.0, n_channels=5)
+        ds = synthesize_dataset(spec, seed=3)
+        frames_path = save_recording(ds.recordings[0], tmp_path, ds.manifest)
+        meta_path = frames_path.with_suffix(".meta.json")
+        if isinstance(edit, str):
+            meta_path.write_text(edit)
+        else:
+            meta = json.loads(meta_path.read_text())
+            edit(meta)
+            meta_path.write_text(json.dumps(meta))
+        with pytest.raises(DataError, match=message):
+            load_recording(
+                frames_path, frames_path.with_suffix(".labels.json"), ds.manifest
+            )
+
     def test_garbled_csv_is_a_parse_error(self, tmp_path):
         spec = SynthSpec(n_subjects=1, trials_per_subject=1, duration_s=2.0,
                          sample_rate_hz=50.0, n_channels=5)

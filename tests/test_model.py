@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -82,7 +83,7 @@ def scalar_encode(params, frames):
 def encode_one(params, frames):
     """Context vector of one window through the inference encoder, which
     must match the training encoder bit for bit."""
-    ctx = _encode_context(params, frames[None])
+    ctx = _encode_context(params, frames[:, None])  # time-major
     np.testing.assert_array_equal(ctx, _encode_batch(params, frames[None])[0])
     return ctx[0]
 
@@ -109,6 +110,19 @@ class TestParams:
         twin = params.copy()
         twin.out_b[0] = 0.0
         assert params.out_b[0] == 4.0 and twin.vector.sum() == 3.0
+
+    def test_pickle_keeps_views_into_the_vector(self):
+        params = init_params(TINY, 5)
+        blob = pickle.dumps(params)
+        twin = pickle.loads(blob)
+        assert twin.config == params.config
+        np.testing.assert_array_equal(twin.vector, params.vector)
+        for name, arr in twin.arrays().items():
+            assert np.shares_memory(twin.vector, arr), name
+            np.testing.assert_array_equal(arr, params.arrays()[name])
+        twin.enc_fwd.Wr[0, 0] = 9.0
+        assert 9.0 in twin.vector
+        assert len(blob) < 1.2 * params.vector.nbytes + 1024
 
 
 class TestSigmoid:
@@ -197,7 +211,7 @@ class TestSequenceLoss:
         params = init_params(TINY, 11)
         frames = np.random.default_rng(12).normal(size=(9, 3))
         target = [1, 3]
-        state = _encode_context(params, frames[None])
+        state = _encode_context(params, frames[:, None])
         total = 0.0
         for prev, sup in zip([SOS_TOKEN, 1, 3], [1, 3, EOS_TOKEN]):
             probs, state = decode_step_batch(params, state, np.array([prev]))
@@ -371,6 +385,41 @@ class TestTrainEnsemble:
         for name, arr in solo_params.arrays().items():
             np.testing.assert_array_equal(arr, ens_params.arrays()[name])
         np.testing.assert_array_equal(solo_stats.mean, ens_stats.mean)
+
+    def test_traced_train_member_runs_in_the_workers(self, monkeypatch):
+        # what a span tracer installs: a closure, which cannot be pickled
+        import primcount.model as model_mod
+
+        data = tiny_dataset()
+        cfg = TrainConfig(max_epochs=1, patience=1, batch_size=8, seed=0)
+        plain, plain_logs = train_ensemble(data, TINY_TRAIN, cfg, n_folds=2, seed=4)
+        original = model_mod.train_member
+
+        def traced(*args, **kwargs):
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(model_mod, "train_member", traced)
+        wrapped, wrapped_logs = train_ensemble(data, TINY_TRAIN, cfg, n_folds=2, seed=4)
+        for (p1, s1), (p2, s2) in zip(plain.members, wrapped.members):
+            np.testing.assert_array_equal(p1.vector, p2.vector)
+            np.testing.assert_array_equal(s1.std, s2.std)
+        assert ([[e.to_json() for e in log] for log in plain_logs]
+                == [[e.to_json() for e in log] for log in wrapped_logs])
+
+    def test_member_divergence_reaches_the_caller(self, monkeypatch):
+        import primcount.model as model_mod
+
+        original = model_mod.init_params
+
+        def poisoned(config, seed):
+            params = original(config, seed)
+            params.out_b[0] = np.nan
+            return params
+
+        monkeypatch.setattr(model_mod, "init_params", poisoned)
+        cfg = TrainConfig(max_epochs=2, patience=2, batch_size=8, seed=0)
+        with pytest.raises(TrainingError, match="diverged"):
+            train_ensemble(tiny_dataset(), TINY_TRAIN, cfg, n_folds=2, seed=4)
 
     def test_validation_fold_sizes_over_33_subjects(self):
         folds = split_subjects([f"p{i:02d}" for i in range(33)], n_folds=4, seed=1)
