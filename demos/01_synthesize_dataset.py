@@ -6,6 +6,8 @@ class-dependent signature, so a model trained on it has something real
 to latch onto and the segment labels double as exact ground truth.
 """
 
+import tempfile
+
 import numpy as np
 
 from primcount.dataset import (
@@ -59,8 +61,9 @@ print(f"  total      {sum(true.values())}")
 
 # ---- 4. round-trip through disk ----
 
-save_dataset(data, "/tmp/primcount_demo_data")
-again = load_dataset("/tmp/primcount_demo_data")
+with tempfile.TemporaryDirectory() as root:
+    save_dataset(data, root)
+    again = load_dataset(root)
 same = all(
     np.array_equal(a.recording.frames, b.recording.frames)
     and a.segments == b.segments

@@ -274,13 +274,26 @@ def _load_sequences(
     by_id = {r.recording.recording_id: r for r in recordings}
     pairs = []
     with open(path) as fh:
-        for line in fh:
-            obj = json.loads(line)
-            labeled = by_id.get(obj["recording"])
+        for lineno, line in enumerate(fh, 1):
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise DataError(f"{path}:{lineno}: invalid JSON ({e})") from None
+            if not (
+                isinstance(obj, dict)
+                and isinstance(obj.get("recording"), str)
+                and isinstance(obj.get("sequence"), list)
+            ):
+                raise DataError(
+                    f'{path}:{lineno}: expected an object with a "recording" string '
+                    'and a "sequence" list'
+                )
+            recording_id, labels = obj["recording"], obj["sequence"]
+            labeled = by_id.get(recording_id)
             if labeled is None:
-                raise DataError(f"unknown recording in predictions: {obj['recording']}")
-            tokens = tuple(PrimitiveClass.from_label(t) for t in obj["sequence"])
-            pairs.append((SessionPrediction(obj["recording"], tokens), labeled))
+                raise DataError(f"unknown recording in predictions: {recording_id}")
+            tokens = tuple(PrimitiveClass.from_label(t) for t in labels)
+            pairs.append((SessionPrediction(recording_id, tokens), labeled))
     return pairs
 
 
@@ -362,11 +375,8 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     return 0
 
 
-def cmd_count(cfg: RunConfig, args) -> int:
-    dataset = _require_dataset(cfg)
-    out_dir = Path(cfg.out_dir)
-    pairs = _load_sequences(out_dir / "sequences.jsonl", dataset.recordings)
-    t0 = time.perf_counter()
+def _count_rows(pairs) -> tuple[list[list], list[dict]]:
+    """counts.csv rows and counts.json entries for (session, labels) pairs."""
     rows = []
     report_rows = []
     for session, labeled in pairs:
@@ -400,6 +410,15 @@ def cmd_count(cfg: RunConfig, args) -> int:
                 "error_pct": err.to_json(),
             }
         )
+    return rows, report_rows
+
+
+def cmd_count(cfg: RunConfig, args) -> int:
+    dataset = _require_dataset(cfg)
+    out_dir = Path(cfg.out_dir)
+    pairs = _load_sequences(out_dir / "sequences.jsonl", dataset.recordings)
+    t0 = time.perf_counter()
+    rows, report_rows = _count_rows(pairs)
     with open(out_dir / "counts.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["recording", "class", "true", "predicted", "error_pct"])
@@ -463,8 +482,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
             for gm in groups[name].values():
                 writer.writerow(_metric_row(name, gm))
 
-    counts_path = out_dir / "counts.json"
-    counting = json.loads(counts_path.read_text()) if counts_path.is_file() else None
+    _, counting = _count_rows(pairs)
     split = json.loads((out_dir / "split.json").read_text())
     baseline = None
     if cfg.with_baseline:

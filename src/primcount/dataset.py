@@ -39,7 +39,7 @@ class PrimitiveClass(enum.IntEnum):
     def from_label(cls, label: str) -> "PrimitiveClass":
         try:
             return cls[label.upper()]
-        except KeyError:
+        except (KeyError, AttributeError):  # AttributeError: not a string
             raise DataError(f"unknown primitive class {label!r}") from None
 
 

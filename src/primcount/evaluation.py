@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,47 +23,27 @@ SUBSTITUTION = "substitution"
 DELETION = "deletion"
 INSERTION = "insertion"
 
+# Row and column of the count matrix that stand for a gap.
+GAP = N_CLASSES
 
-@dataclass(frozen=True)
-class AlignmentOp:
-    """One slot of an alignment: consumes a gt token, a pred token, or both."""
 
-    kind: str
-    gt: PrimitiveClass | None = None
-    pred: PrimitiveClass | None = None
+class AlignmentOp(NamedTuple):
+    """One slot of an alignment: a (gt, pred) pair where None is a gap."""
 
-    def __post_init__(self):
-        ok = {
-            MATCH: self.gt is not None and self.gt == self.pred,
-            SUBSTITUTION: self.gt is not None and self.pred is not None
-            and self.gt != self.pred,
-            DELETION: self.gt is not None and self.pred is None,
-            INSERTION: self.gt is None and self.pred is not None,
-        }
-        if self.kind not in ok:
-            raise DataError(f"unknown alignment op kind {self.kind!r}")
-        if not ok[self.kind]:
-            raise DataError(f"inconsistent {self.kind} op: gt={self.gt} pred={self.pred}")
+    gt: PrimitiveClass | None
+    pred: PrimitiveClass | None
 
-    @classmethod
-    def match(cls, c: PrimitiveClass) -> "AlignmentOp":
-        return cls(MATCH, c, c)
-
-    @classmethod
-    def substitution(cls, gt: PrimitiveClass, pred: PrimitiveClass) -> "AlignmentOp":
-        return cls(SUBSTITUTION, gt, pred)
-
-    @classmethod
-    def deletion(cls, gt: PrimitiveClass) -> "AlignmentOp":
-        return cls(DELETION, gt)
-
-    @classmethod
-    def insertion(cls, pred: PrimitiveClass) -> "AlignmentOp":
-        return cls(INSERTION, pred=pred)
+    @property
+    def kind(self) -> str:
+        if self.gt is None:
+            return INSERTION
+        if self.pred is None:
+            return DELETION
+        return MATCH if self.gt == self.pred else SUBSTITUTION
 
     @property
     def cost(self) -> int:
-        return 0 if self.kind == MATCH else 1
+        return int(self.gt != self.pred)
 
 
 def _as_codes(seq) -> np.ndarray:
@@ -95,69 +76,85 @@ def _dp_table(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
 def align(gt_sequence, pred_sequence) -> list[AlignmentOp]:
     """Canonical minimal-cost alignment of two primitive sequences.
 
-    Backtrace tie-breaking prefers match over substitution over deletion
-    over insertion, so repeated calls return the identical op list.
+    Backtrace tie-breaking prefers the diagonal (match or substitution)
+    over deletion over insertion, so repeated calls return the identical
+    op list.
     """
     gt = _as_codes(gt_sequence)
     pred = _as_codes(pred_sequence)
     dp = _dp_table(gt, pred)
+    a = [PrimitiveClass(c) for c in gt.tolist()]
+    b = [PrimitiveClass(c) for c in pred.tolist()]
     ops: list[AlignmentOp] = []
-    i, j = len(gt), len(pred)
+    i, j = len(a), len(b)
     while i > 0 or j > 0:
-        if i > 0 and j > 0 and gt[i - 1] == pred[j - 1] and dp[i, j] == dp[i - 1, j - 1]:
-            ops.append(AlignmentOp.match(PrimitiveClass(int(gt[i - 1]))))
-            i -= 1
-            j -= 1
-        elif i > 0 and j > 0 and gt[i - 1] != pred[j - 1] and dp[i, j] == dp[i - 1, j - 1] + 1:
-            ops.append(
-                AlignmentOp.substitution(
-                    PrimitiveClass(int(gt[i - 1])), PrimitiveClass(int(pred[j - 1]))
-                )
-            )
-            i -= 1
-            j -= 1
+        if i > 0 and j > 0 and dp[i, j] == dp[i - 1, j - 1] + (a[i - 1] != b[j - 1]):
+            i, j = i - 1, j - 1
+            ops.append(AlignmentOp(a[i], b[j]))
         elif i > 0 and dp[i, j] == dp[i - 1, j] + 1:
-            ops.append(AlignmentOp.deletion(PrimitiveClass(int(gt[i - 1]))))
             i -= 1
+            ops.append(AlignmentOp(a[i], None))
         else:
-            ops.append(AlignmentOp.insertion(PrimitiveClass(int(pred[j - 1]))))
             j -= 1
+            ops.append(AlignmentOp(None, b[j]))
     ops.reverse()
     return ops
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass
 class OutcomeTallies:
-    """Per-class outcome counts accumulated from alignments.
+    """Alignment outcomes as one (gt, pred) count matrix.
 
-    FN splits into deletion vs swap_out, FP into insertion vs swap_in;
-    substitutions holds the (gt, pred) pair counts behind the swaps.
+    counts[g, p] counts the ops that pair gt class g with predicted class
+    p, with index GAP for a gap: the diagonal holds matches (TP), column
+    GAP deletions, row GAP insertions, and the off-diagonal class cells
+    substitutions, each one swap-out FN for g and one swap-in FP for p.
+    Every other array is derived from counts and read-only.
     """
 
-    tp: np.ndarray = field(default_factory=lambda: np.zeros(N_CLASSES, dtype=np.int64))
-    fn_deletion: np.ndarray = field(
-        default_factory=lambda: np.zeros(N_CLASSES, dtype=np.int64)
+    counts: np.ndarray = field(
+        default_factory=lambda: np.zeros((N_CLASSES + 1, N_CLASSES + 1), dtype=np.int64)
     )
-    fn_swap_out: np.ndarray = field(
-        default_factory=lambda: np.zeros(N_CLASSES, dtype=np.int64)
-    )
-    fp_insertion: np.ndarray = field(
-        default_factory=lambda: np.zeros(N_CLASSES, dtype=np.int64)
-    )
-    fp_swap_in: np.ndarray = field(
-        default_factory=lambda: np.zeros(N_CLASSES, dtype=np.int64)
-    )
-    substitutions: np.ndarray = field(
-        default_factory=lambda: np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
-    )
+
+    @property
+    def tp(self) -> np.ndarray:
+        return _read_only(self.counts.diagonal()[:N_CLASSES])
 
     @property
     def fn(self) -> np.ndarray:
-        return self.fn_deletion + self.fn_swap_out
+        return _read_only(self.counts[:N_CLASSES].sum(axis=1) - self.tp)
 
     @property
     def fp(self) -> np.ndarray:
-        return self.fp_insertion + self.fp_swap_in
+        return _read_only(self.counts[:, :N_CLASSES].sum(axis=0) - self.tp)
+
+    @property
+    def fn_deletion(self) -> np.ndarray:
+        return _read_only(self.counts[:N_CLASSES, GAP])
+
+    @property
+    def fp_insertion(self) -> np.ndarray:
+        return _read_only(self.counts[GAP, :N_CLASSES])
+
+    @property
+    def fn_swap_out(self) -> np.ndarray:
+        return _read_only(self.fn - self.fn_deletion)
+
+    @property
+    def fp_swap_in(self) -> np.ndarray:
+        return _read_only(self.fp - self.fp_insertion)
+
+    @property
+    def substitutions(self) -> np.ndarray:
+        subs = self.counts[:N_CLASSES, :N_CLASSES].copy()
+        np.fill_diagonal(subs, 0)
+        return _read_only(subs)
 
     @property
     def total_tp(self) -> int:
@@ -182,46 +179,16 @@ class OutcomeTallies:
     @property
     def distance(self) -> int:
         """Levenshtein distance: deletions + insertions + substitutions."""
-        return int(
-            self.fn_deletion.sum() + self.fp_insertion.sum() + self.substitutions.sum()
-        )
+        return self.total_fn + int(self.fp_insertion.sum())
 
     def __add__(self, other: "OutcomeTallies") -> "OutcomeTallies":
-        return OutcomeTallies(
-            self.tp + other.tp,
-            self.fn_deletion + other.fn_deletion,
-            self.fn_swap_out + other.fn_swap_out,
-            self.fp_insertion + other.fp_insertion,
-            self.fp_swap_in + other.fp_swap_in,
-            self.substitutions + other.substitutions,
-        )
-
-    def class_slice(self, cls: PrimitiveClass) -> "OutcomeTallies":
-        """Tallies restricted to one class (for per-class metrics)."""
-        c = int(cls)
-        out = OutcomeTallies()
-        out.tp[c] = self.tp[c]
-        out.fn_deletion[c] = self.fn_deletion[c]
-        out.fn_swap_out[c] = self.fn_swap_out[c]
-        out.fp_insertion[c] = self.fp_insertion[c]
-        out.fp_swap_in[c] = self.fp_swap_in[c]
-        out.substitutions[c, :] = self.substitutions[c, :]
-        return out
+        return OutcomeTallies(self.counts + other.counts)
 
 
 def tally(alignment: list[AlignmentOp]) -> OutcomeTallies:
     out = OutcomeTallies()
-    for op in alignment:
-        if op.kind == MATCH:
-            out.tp[int(op.gt)] += 1
-        elif op.kind == DELETION:
-            out.fn_deletion[int(op.gt)] += 1
-        elif op.kind == INSERTION:
-            out.fp_insertion[int(op.pred)] += 1
-        else:
-            out.fn_swap_out[int(op.gt)] += 1
-            out.fp_swap_in[int(op.pred)] += 1
-            out.substitutions[int(op.gt), int(op.pred)] += 1
+    for gt, pred in alignment:
+        out.counts[GAP if gt is None else gt, GAP if pred is None else pred] += 1
     return out
 
 
@@ -235,19 +202,28 @@ class Metrics:
     aer: float
 
     def to_json(self) -> dict:
-        def clean(v):
-            return None if math.isnan(v) else v
-
-        return {
-            "sensitivity": clean(self.sensitivity),
-            "fdr": clean(self.fdr),
-            "f1": clean(self.f1),
-            "aer": clean(self.aer),
-        }
+        return {name: None if math.isnan(v) else v for name, v in vars(self).items()}
 
 
 def _ratio(num: float, den: float) -> float:
     return num / den if den > 0 else math.nan
+
+
+def _metrics(t: OutcomeTallies, classes=slice(None)) -> Metrics:
+    """The metric quartet over the selected classes of t (default: all).
+
+    AER's distance is FN + insertions: over all classes the Levenshtein
+    distance, for one class its deletions, swap-outs and insertions.
+    """
+    tp, fn, fp, ins = (
+        int(a[classes].sum()) for a in (t.tp, t.fn, t.fp, t.fp_insertion)
+    )
+    return Metrics(
+        sensitivity=_ratio(tp, tp + fn),
+        fdr=_ratio(fp, tp + fp),
+        f1=_ratio(2 * tp, 2 * tp + fn + fp),
+        aer=_ratio(fn + ins, tp + fn),
+    )
 
 
 def metrics(tallies_or_pair) -> Metrics:
@@ -257,17 +233,9 @@ def metrics(tallies_or_pair) -> Metrics:
     AER = Levenshtein distance / |gt|. Zero denominators give NaN.
     """
     if isinstance(tallies_or_pair, OutcomeTallies):
-        t = tallies_or_pair
-    else:
-        gt, pred = tallies_or_pair
-        t = tally(align(gt, pred))
-    tp, fn, fp = t.total_tp, t.total_fn, t.total_fp
-    return Metrics(
-        sensitivity=_ratio(tp, tp + fn),
-        fdr=_ratio(fp, tp + fp),
-        f1=_ratio(2 * tp, 2 * tp + fn + fp),
-        aer=_ratio(t.distance, t.gt_length) if t.gt_length > 0 else math.nan,
-    )
+        return _metrics(tallies_or_pair)
+    gt, pred = tallies_or_pair
+    return _metrics(tally(align(gt, pred)))
 
 
 def f1_score(sensitivity: float, fdr: float) -> float:
@@ -307,16 +275,12 @@ class ConfusionMatrix:
 
 
 def confusion_matrix(tallies: OutcomeTallies) -> ConfusionMatrix:
-    gt_counts = tallies.tp + tallies.fn
-    matrix = np.full((N_CLASSES, N_CLASSES), math.nan)
-    deleted = np.full(N_CLASSES, math.nan)
-    for r in range(N_CLASSES):
-        if gt_counts[r] == 0:
-            continue
-        matrix[r] = tallies.substitutions[r] / gt_counts[r]
-        matrix[r, r] = tallies.tp[r] / gt_counts[r]
-        deleted[r] = tallies.fn_deletion[r] / gt_counts[r]
-    return ConfusionMatrix(matrix, deleted, gt_counts)
+    rows = tallies.counts[:N_CLASSES]
+    gt_counts = rows.sum(axis=1)
+    fractions = np.full(rows.shape, math.nan)
+    seen = gt_counts > 0
+    fractions[seen] = rows[seen] / gt_counts[seen, None]
+    return ConfusionMatrix(fractions[:, :N_CLASSES], fractions[:, GAP], gt_counts)
 
 
 # ---------------------------------------------------------------------------
@@ -353,11 +317,18 @@ class GroupMetrics:
         }
 
 
-def _sum_tallies(records: list[AlignmentRecord]) -> OutcomeTallies:
-    total = OutcomeTallies()
-    for r in records:
-        total = total + r.tallies
-    return total
+# group_by partitions other than primitive_class: record -> group name
+_GROUP_KEYS = {
+    "overall": lambda r: "overall",
+    "subject": lambda r: r.subject_id,
+    "activity": lambda r: r.activity,
+}
+
+
+def _partition(records: list[AlignmentRecord], key) -> dict[str, list[AlignmentRecord]]:
+    """Records grouped by key(record), in sorted group order."""
+    names = sorted({key(r) for r in records})
+    return {n: [r for r in records if key(r) == n] for n in names}
 
 
 def _subject_stats(per_subject: list[Metrics]) -> tuple[Metrics, Metrics]:
@@ -373,25 +344,20 @@ def _subject_stats(per_subject: list[Metrics]) -> tuple[Metrics, Metrics]:
             vals[name] = float(fn(finite)) if finite.size else math.nan
         return Metrics(**vals)
 
-    mean = stat(np.mean)
-    std = stat(lambda v: np.std(v, ddof=1) if v.size > 1 else 0.0)
-    return mean, std
+    return stat(np.mean), stat(lambda v: np.std(v, ddof=1) if v.size > 1 else 0.0)
 
 
 def _group_result(
-    name: str,
-    records: list[AlignmentRecord],
-    project=None,
+    name: str, records: list[AlignmentRecord], classes=slice(None)
 ) -> GroupMetrics:
-    project = project or (lambda t: t)
-    micro = metrics(project(_sum_tallies(records)))
-    subjects = sorted({r.subject_id for r in records})
-    per_subject = [
-        metrics(project(_sum_tallies([r for r in records if r.subject_id == s])))
-        for s in subjects
-    ]
-    mean, std = _subject_stats(per_subject)
-    return GroupMetrics(name, micro, len(records), len(subjects), mean, std)
+    """Metrics of the selected classes (default: all) over the records."""
+
+    def scored(group):
+        return _metrics(sum((r.tallies for r in group), OutcomeTallies()), classes)
+
+    subjects = _partition(records, _GROUP_KEYS["subject"])
+    mean, std = _subject_stats([scored(group) for group in subjects.values()])
+    return GroupMetrics(name, scored(records), len(records), len(subjects), mean, std)
 
 
 def aggregate(
@@ -405,25 +371,9 @@ def aggregate(
     """
     if not records:
         raise DataError("no alignment records to aggregate")
-    if group_by == "overall":
-        return {"overall": _group_result("overall", records)}
-    if group_by == "subject":
-        subjects = sorted({r.subject_id for r in records})
-        return {
-            s: _group_result(s, [r for r in records if r.subject_id == s])
-            for s in subjects
-        }
-    if group_by == "activity":
-        activities = sorted({r.activity for r in records})
-        return {
-            a: _group_result(a, [r for r in records if r.activity == a])
-            for a in activities
-        }
     if group_by == "primitive_class":
-        return {
-            c.label: _group_result(
-                c.label, records, project=lambda t, c=c: t.class_slice(c)
-            )
-            for c in CLASSES
-        }
-    raise DataError(f"unknown group_by {group_by!r}")
+        return {c.label: _group_result(c.label, records, int(c)) for c in CLASSES}
+    if group_by not in _GROUP_KEYS:
+        raise DataError(f"unknown group_by {group_by!r}")
+    groups = _partition(records, _GROUP_KEYS[group_by])
+    return {name: _group_result(name, group) for name, group in groups.items()}

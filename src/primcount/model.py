@@ -16,7 +16,6 @@ import json
 import math
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -703,21 +702,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-# A worker's train_member arguments, one tuple per fold; set in each
-# worker process by _set_fold_jobs, never in the process that trains.
-_fold_jobs: list = []
-
-
-def _set_fold_jobs(jobs: list) -> None:
-    global _fold_jobs
-    _fold_jobs = jobs
-
-
-def _train_fold(i: int):
+def _train_fold(job: tuple, conn) -> None:
+    """Worker body: train one member, send (error, result) to the parent."""
     # train_member is looked up here, in the worker, so a replacement
     # installed in this module before the fork runs, even one that
     # cannot be pickled
-    return train_member(*_fold_jobs[i])
+    try:
+        outcome = (None, train_member(*job))
+    except Exception as e:  # the parent raises it
+        outcome = (e, None)
+    conn.send(outcome)
 
 
 def train_ensemble(
@@ -731,9 +725,10 @@ def train_ensemble(
 
     Each member's seed derives only from (seed, fold index), so training
     them in any order, or separately, produces identical parameters.
-    The members train in min(n_folds, usable CPUs) forked worker
-    processes; results come back in fold order, and the first failing
-    member's exception is raised here.
+    The members train in forked worker processes, at most min(n_folds,
+    usable CPUs) at a time; results come back in fold order. The first
+    failure in fold order, a member's exception or a worker that died,
+    is raised as soon as it is known, after every worker is stopped.
     """
     subjects = sorted({r.recording.subject_id for r in data.recordings})
     folds = split_subjects(subjects, n_folds=n_folds, seed=seed)
@@ -741,16 +736,39 @@ def train_ensemble(
         (fold, data, model_config, replace(train_config, seed=member_seed(seed, i)))
         for i, fold in enumerate(folds)
     ]
-    # fork, so workers inherit the jobs (recordings shared copy-on-write)
-    # and this module's functions as they are now; only fold indices and
-    # results cross a pickle
-    with ProcessPoolExecutor(
-        max_workers=min(len(jobs), _usable_cpus()),
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_set_fold_jobs,
-        initargs=(jobs,),
-    ) as pool:
-        results = list(pool.map(_train_fold, range(len(jobs))))
+    # fork, so workers inherit their job (recordings shared copy-on-write)
+    # and this module's functions as they are now; only results and
+    # errors cross a pickle. A process per fold rather than a pool:
+    # ProcessPoolExecutor cannot stop the workers still running after a
+    # failure, and multiprocessing.Pool waits forever for the result of
+    # a worker that was killed, say, for memory.
+    ctx = multiprocessing.get_context("fork")
+    width = _usable_cpus()
+    workers, results = [], []
+    try:
+        for i in range(len(jobs)):
+            while len(workers) < min(len(jobs), i + width):
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_train_fold, args=(jobs[len(workers)], send))
+                proc.start()
+                send.close()
+                workers.append((proc, recv))
+            proc, recv = workers[i]
+            try:
+                error, result = recv.recv()
+            except EOFError:
+                proc.join()
+                raise TrainingError(
+                    f"member {i} worker exited with code {proc.exitcode}"
+                ) from None
+            if error is not None:
+                raise error
+            results.append(result)
+    finally:
+        for proc, recv in workers:
+            proc.terminate()
+            proc.join()
+            recv.close()
     members = [(params, stats) for params, stats, _ in results]
     logs = [log for _, _, log in results]
     return EnsembleModel(model_config, members), logs

@@ -1,5 +1,6 @@
 import json
 import math
+import shutil
 from dataclasses import replace
 from pathlib import Path
 
@@ -273,6 +274,42 @@ def test_rerun_is_byte_identical(pipeline):
     assert (tmp / "out" / "sequences.jsonl").read_bytes() == (
         out2 / "sequences.jsonl"
     ).read_bytes()
+
+
+@pytest.mark.parametrize("command", ["count", "eval"])
+@pytest.mark.parametrize("line, message", [
+    ('{"recording": "s00_t0", "sequence": [\n', "invalid JSON"),
+    ('{"sequence": ["reach"]}\n', 'expected an object with a "recording" string'),
+    ('{"recording": ["s00"], "sequence": []}\n', 'expected an object with a "recording"'),
+    ('["s00", []]\n', 'expected an object with a "recording" string'),
+], ids=["invalid-json", "missing-key", "list-recording", "not-an-object"])
+def test_malformed_sequences_line_is_data_error(
+    pipeline, tmp_path, capsys, command, line, message
+):
+    tmp, cfg_path = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(tmp / "out", out)
+    with open(out / "sequences.jsonl", "a") as fh:
+        fh.write(line)
+    lineno = len((out / "sequences.jsonl").read_text().splitlines())
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"sequences.jsonl:{lineno}: {message}" in capsys.readouterr().err
+
+
+def test_eval_counts_the_current_predictions(pipeline, tmp_path):
+    tmp, cfg_path = pipeline
+    expected = json.loads((tmp / "out" / "counts.json").read_text())
+    out = tmp_path / "out"
+    shutil.copytree(tmp / "out", out)
+    stale = json.loads((out / "counts.json").read_text())
+    stale[0]["predicted"]["reach"] += 5
+    (out / "counts.json").write_text(json.dumps(stale))
+    assert main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["counting"] == expected
+    # without any counts.json, as when count never ran
+    (out / "counts.json").unlink()
+    assert main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads((out / "report.json").read_text())["counting"] == expected
 
 
 def test_bench_reports_processed_duration(pipeline):

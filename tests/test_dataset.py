@@ -45,6 +45,8 @@ class TestPrimitiveClass:
     def test_unknown_label_rejected(self):
         with pytest.raises(DataError, match="unknown primitive class"):
             PrimitiveClass.from_label("grasp")
+        with pytest.raises(DataError, match="unknown primitive class 3"):
+            PrimitiveClass.from_label(3)
 
 
 SHIPPED_MANIFEST = Path(__file__).resolve().parents[1] / "configs" / "manifest.json"

@@ -7,6 +7,7 @@ import pytest
 from primcount.dataset import CLASSES, DataError, PrimitiveClass
 from primcount.evaluation import (
     DELETION,
+    GAP,
     INSERTION,
     MATCH,
     SUBSTITUTION,
@@ -67,17 +68,17 @@ class TestAlign:
 
     def test_insertion_against_empty(self):
         ops = align([], [R])
-        assert ops == [AlignmentOp.insertion(R)]
-        assert align([R], []) == [AlignmentOp.deletion(R)]
+        assert ops == [AlignmentOp(None, R)]
+        assert align([R], []) == [AlignmentOp(R, None)]
         assert align([], []) == []
 
     def test_canonical_example(self):
         ops = align([R, T, S, I], [R, I, S])
         assert ops == [
-            AlignmentOp.match(R),
-            AlignmentOp.substitution(T, I),
-            AlignmentOp.match(S),
-            AlignmentOp.deletion(I),
+            AlignmentOp(R, R),
+            AlignmentOp(T, I),
+            AlignmentOp(S, S),
+            AlignmentOp(I, None),
         ]
         assert alignment_distance(ops) == 2
 
@@ -119,31 +120,27 @@ class TestAlign:
 
 
 class TestAlignmentOp:
-    def test_inconsistent_ops_rejected(self):
-        with pytest.raises(DataError):
-            AlignmentOp(MATCH, R, I)
-        with pytest.raises(DataError):
-            AlignmentOp(SUBSTITUTION, R, R)
-        with pytest.raises(DataError):
-            AlignmentOp(DELETION, R, I)
-        with pytest.raises(DataError, match="unknown alignment op"):
-            AlignmentOp("transposition", R, I)
-
     def test_costs(self):
-        assert AlignmentOp.match(R).cost == 0
-        assert AlignmentOp.substitution(R, I).cost == 1
-        assert AlignmentOp.deletion(R).cost == 1
-        assert AlignmentOp.insertion(R).cost == 1
+        assert AlignmentOp(R, R).cost == 0
+        assert AlignmentOp(R, I).cost == 1
+        assert AlignmentOp(R, None).cost == 1
+        assert AlignmentOp(None, R).cost == 1
+
+    def test_kind_derived_from_the_pair(self):
+        assert AlignmentOp(R, R).kind == MATCH
+        assert AlignmentOp(R, I).kind == SUBSTITUTION
+        assert AlignmentOp(R, None).kind == DELETION
+        assert AlignmentOp(None, R).kind == INSERTION
 
 
 class TestTally:
     def test_schematic_pattern(self):
         # one of each outcome: match, deletion, substitution, insertion
         ops = [
-            AlignmentOp.match(T),
-            AlignmentOp.deletion(S),
-            AlignmentOp.substitution(R, I),
-            AlignmentOp.insertion(R),
+            AlignmentOp(T, T),
+            AlignmentOp(S, None),
+            AlignmentOp(R, I),
+            AlignmentOp(None, R),
         ]
         t = tally(ops)
         assert t.total_tp == 1
@@ -156,7 +153,7 @@ class TestTally:
         assert t.substitutions[int(R), int(I)] == 1
 
     def test_all_matches(self):
-        ops = [AlignmentOp.match(c) for c in CLASSES]
+        ops = [AlignmentOp(c, c) for c in CLASSES]
         t = tally(ops)
         assert t.total_tp == 5
         assert t.total_fn == 0
@@ -172,6 +169,12 @@ class TestTally:
             assert t.pred_length == len(b)
             assert t.fn_swap_out.sum() == t.fp_swap_in.sum() == t.substitutions.sum()
             assert t.distance == reference_distance(a, b)
+            np.testing.assert_array_equal(
+                t.counts.sum(axis=1)[:GAP], np.bincount(a, minlength=5)
+            )
+            np.testing.assert_array_equal(
+                t.counts.sum(axis=0)[:GAP], np.bincount(b, minlength=5)
+            )
 
     def test_addition(self):
         rng = np.random.default_rng(3)
@@ -181,6 +184,14 @@ class TestTally:
         assert combined.gt_length == len(a1) + len(a2)
         assert combined.pred_length == len(b1) + len(b2)
 
+    def test_derived_arrays_are_read_only(self):
+        t = tally(align([R, T, S], [R, I]))
+        for name in ("tp", "fn", "fp", "fn_deletion", "fp_insertion",
+                     "substitutions", "fn_swap_out", "fp_swap_in"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(t, name)[0] = 7
+        assert t.total_tp == 1
+
 
 class TestMetrics:
     def test_reported_f1_from_sensitivity_and_fdr(self):
@@ -188,12 +199,10 @@ class TestMetrics:
 
     def test_formulas(self):
         t = OutcomeTallies()
-        t.tp[0] = 6
-        t.fn_deletion[1] = 2
-        t.fp_insertion[2] = 1
-        t.substitutions[3, 4] = 1
-        t.fn_swap_out[3] = 1
-        t.fp_swap_in[4] = 1
+        t.counts[0, 0] = 6
+        t.counts[1, GAP] = 2
+        t.counts[GAP, 2] = 1
+        t.counts[3, 4] = 1
         m = metrics(t)
         assert m.sensitivity == 6 / 9
         assert m.fdr == 2 / 8
@@ -282,9 +291,9 @@ class TestConfusionMatrix:
 
 def record(subject, activity, tp, fn, fp):
     t = OutcomeTallies()
-    t.tp[0] = tp
-    t.fn_deletion[1] = fn
-    t.fp_insertion[2] = fp
+    t.counts[0, 0] = tp
+    t.counts[1, GAP] = fn
+    t.counts[GAP, 2] = fp
     return AlignmentRecord(subject, activity, t)
 
 
@@ -330,6 +339,29 @@ class TestAggregate:
         assert out["reposition"].micro.sensitivity == 0.0
         assert out["transport"].micro.fdr == 1.0
         assert math.isnan(out["stabilize"].micro.sensitivity)
+
+    def test_class_grouping_from_op_lists(self):
+        rng = np.random.default_rng(11)
+        records, ops = [], []
+        for subject in ("s1", "s2", "s3"):
+            for _ in range(5):
+                a, b = random_pair(rng, 12)
+                ops += align(a, b)
+                records.append(AlignmentRecord(subject, "x", tally(align(a, b))))
+        out = aggregate(records, group_by="primitive_class")
+        for c in CLASSES:
+            tp = sum(op.gt == c and op.pred == c for op in ops)
+            fn = sum(op.gt == c and op.pred != c for op in ops)
+            fp = sum(op.pred == c and op.gt != c for op in ops)
+            ins = sum(op.gt is None and op.pred == c for op in ops)
+            expected = [
+                tp / (tp + fn) if tp + fn else math.nan,
+                fp / (tp + fp) if tp + fp else math.nan,
+                2 * tp / (2 * tp + fn + fp) if 2 * tp + fn + fp else math.nan,
+                (fn + ins) / (tp + fn) if tp + fn else math.nan,
+            ]
+            m = out[c.label].micro
+            np.testing.assert_array_equal([m.sensitivity, m.fdr, m.f1, m.aer], expected)
 
     def test_subject_grouping(self):
         records = [record("s1", "a", 1, 1, 0), record("s2", "a", 3, 1, 0)]

@@ -421,6 +421,41 @@ class TestTrainEnsemble:
         with pytest.raises(TrainingError, match="diverged"):
             train_ensemble(tiny_dataset(), TINY_TRAIN, cfg, n_folds=2, seed=4)
 
+    def test_first_failure_stops_the_other_members(self, monkeypatch):
+        import multiprocessing
+        import time
+
+        import primcount.model as model_mod
+
+        def fold_zero_fails(fold, data, model_config, train_config):
+            if train_config.seed == member_seed(4, 0):
+                raise TrainingError("fold 0 diverged")
+            time.sleep(30)
+
+        monkeypatch.setattr(model_mod, "train_member", fold_zero_fails)
+        cfg = TrainConfig(max_epochs=1, patience=1, batch_size=8, seed=0)
+        start = time.monotonic()
+        with pytest.raises(TrainingError, match="fold 0 diverged"):
+            train_ensemble(tiny_dataset(), TINY_TRAIN, cfg, n_folds=2, seed=4)
+        assert time.monotonic() - start < 5.0
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_is_a_training_error(self, monkeypatch):
+        import multiprocessing
+        import os
+        import signal
+
+        import primcount.model as model_mod
+
+        def killed(*args):
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(model_mod, "train_member", killed)
+        cfg = TrainConfig(max_epochs=1, patience=1, batch_size=8, seed=0)
+        with pytest.raises(TrainingError, match="member 0 worker exited with code -9"):
+            train_ensemble(tiny_dataset(), TINY_TRAIN, cfg, n_folds=2, seed=4)
+        assert multiprocessing.active_children() == []
+
     def test_validation_fold_sizes_over_33_subjects(self):
         folds = split_subjects([f"p{i:02d}" for i in range(33)], n_folds=4, seed=1)
         assert sorted(len(f.val_subjects) for f in folds) == [8, 8, 8, 9]
