@@ -305,41 +305,95 @@ def load_recording(
 
 
 def _load_frames(path: Path, manifest: ChannelManifest) -> np.ndarray:
+    """Parse a frames CSV with one bulk ``np.loadtxt`` pass over the file.
+
+    Whatever the bulk parse rejects, or parses into another shape than
+    one row per data line, goes through the row loop, which names the
+    offending line or accepts what only ``float()`` reads (quoted
+    fields, ``1_0``).
+    """
     expect = manifest.channel_count
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: parse failure: {exc}") from None
+    _check_frames_header(path, header, expect)
+    n_rows = _count_lines(path) - 1
+    table = None
+    if n_rows > 0:  # loadtxt warns on a file without data lines
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty frames file") from None
-        if len(header) != expect + 1 or header[0] != "t":
-            raise DataError(
-                f"{path}: dimensionality mismatch in header: {len(header) - 1} "
-                f"channels, manifest declares {expect}"
+            table = np.loadtxt(
+                path, delimiter=",", skiprows=1, comments=None, ndmin=2, encoding="utf-8"
             )
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != expect + 1:
-                raise DataError(
-                    f"{path}:{lineno}: dimensionality mismatch: row has "
-                    f"{len(row) - 1} values, manifest declares {expect}"
-                )
-            try:
-                rows.append([float(v) for v in row[1:]])
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: parse failure: {exc}") from None
+        except ValueError:  # UnicodeDecodeError too; the row loop names the fault
+            pass
+    # loadtxt skips blank lines, which the row loop rejects
+    if table is None or table.shape != (n_rows, expect + 1):
+        return _load_frames_by_row(path, expect)
+    frames = np.ascontiguousarray(table[:, 1:])
+    if not np.isfinite(frames).all():
+        raise DataError(f"{path}: non-finite value in frames")
+    return frames
+
+
+def _check_frames_header(path: Path, header: list[str] | None, expect: int) -> None:
+    if header is None:
+        raise DataError(f"{path}: empty frames file")
+    if len(header) != expect + 1 or header[0] != "t":
+        raise DataError(
+            f"{path}: dimensionality mismatch in header: {len(header) - 1} "
+            f"channels, manifest declares {expect}"
+        )
+
+
+def _count_lines(path: Path) -> int:
+    """Lines in the file, counting a last line without its newline."""
+    lines, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            lines += chunk.count(b"\n")
+            last = chunk[-1:]
+    return lines + (last != b"\n")
+
+
+def _load_frames_by_row(path: Path, expect: int) -> np.ndarray:
+    """Reference parser: one ``float()`` per value, errors name the line."""
+    rows = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            _check_frames_header(path, next(reader, None), expect)
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != expect + 1:
+                    raise DataError(
+                        f"{path}:{lineno}: dimensionality mismatch: row has "
+                        f"{len(row) - 1} values, manifest declares {expect}"
+                    )
+                try:
+                    rows.append([float(v) for v in row[1:]])
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: parse failure: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: parse failure: {exc}") from None
+    if not rows:
+        raise DataError(f"{path}: no frames")
     frames = np.asarray(rows, dtype=np.float64)
     if frames.size and not np.isfinite(frames).all():
         raise DataError(f"{path}: non-finite value in frames")
     return frames
 
 
-def _load_segments(path: Path) -> list[PrimitiveSegment]:
+def _read_json(path: Path):
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise DataError(f"{path}: parse failure: {exc}") from None
+
+
+def _load_segments(path: Path) -> list[PrimitiveSegment]:
+    data = _read_json(path)
     if not isinstance(data, list):
         raise DataError(f"{path}: labels file must hold a JSON array")
     segments = []
@@ -361,11 +415,7 @@ def _load_meta(labels_path: Path) -> dict:
     meta_path = labels_path.with_suffix("").with_suffix(".meta.json")
     if not meta_path.exists():
         raise DataError(f"{meta_path}: missing metadata file")
-    try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{meta_path}: parse failure: {exc}") from None
+    meta = _read_json(meta_path)
     if not isinstance(meta, dict):
         raise DataError(f"{meta_path}: metadata file must hold a JSON object")
     for key in ("subject_id", "activity", "trial", "sample_rate_hz"):
@@ -389,11 +439,11 @@ def save_recording(labeled: LabeledRecording, directory: str | Path, manifest: C
     stem = f"{rec.subject_id}__{rec.activity}__{rec.trial}"
     frames_path = directory / f"{stem}.csv"
     fs = rec.sample_rate_hz
-    with open(frames_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", *manifest.names])
+    with open(frames_path, "w", newline="", encoding="utf-8") as fh:
+        # csv.writer quotes channel names; float reprs never need quoting
+        csv.writer(fh, lineterminator="\n").writerow(["t", *manifest.names])
         for i, row in enumerate(rec.frames):
-            writer.writerow([repr(i / fs), *(repr(float(v)) for v in row)])
+            fh.write(",".join(map(repr, (i / fs, *row.tolist()))) + "\n")
     with open(directory / f"{stem}.labels.json", "w") as fh:
         json.dump(
             [
@@ -645,13 +695,24 @@ def save_dataset(dataset: SyntheticDataset, directory: str | Path) -> None:
 
 def load_dataset(directory: str | Path) -> SyntheticDataset:
     directory = Path(directory)
-    with open(directory / "manifest.json") as fh:
-        manifest = ChannelManifest.from_json(json.load(fh))
-    with open(directory / "subjects.json") as fh:
-        subjects = {
-            sid: SubjectInfo(sid, obj["paretic_side"], int(obj["ue_fma_score"]))
-            for sid, obj in json.load(fh).items()
-        }
+    manifest_path = directory / "manifest.json"
+    data = _read_json(manifest_path)
+    if not isinstance(data, list):
+        raise DataError(f"{manifest_path}: manifest file must hold a JSON array")
+    try:
+        manifest = ChannelManifest.from_json(data)
+    except DataError as exc:
+        raise DataError(f"{manifest_path}: {exc}") from None
+    subjects_path = directory / "subjects.json"
+    data = _read_json(subjects_path)
+    if not isinstance(data, dict):
+        raise DataError(f"{subjects_path}: subjects file must hold a JSON object")
+    subjects = {}
+    for sid, obj in data.items():
+        try:
+            subjects[sid] = SubjectInfo(sid, obj["paretic_side"], int(obj["ue_fma_score"]))
+        except (KeyError, TypeError, ValueError) as exc:  # DataError is a ValueError
+            raise DataError(f"{subjects_path}: malformed subject {sid!r}: {exc}") from None
     recordings = []
     rec_dir = directory / "recordings"
     for frames_path in sorted(rec_dir.glob("*.csv")):

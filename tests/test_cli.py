@@ -339,6 +339,43 @@ def test_unreadable_model_file_exits_1(pipeline, tmp_path, capsys):
     assert "not a model file" in capsys.readouterr().err
 
 
+def _insert_invalid_utf8(path: Path) -> None:
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) // 2] + b"\xff" + raw[len(raw) // 2:])
+
+
+def _truncate(path: Path) -> None:
+    path.write_text(path.read_text()[:20])
+
+
+def _drop_paretic_side(path: Path) -> None:
+    subjects = json.loads(path.read_text())
+    del next(iter(subjects.values()))["paretic_side"]
+    path.write_text(json.dumps(subjects))
+
+
+@pytest.mark.parametrize("pattern, edit, message", [
+    ("recordings/*.csv", _insert_invalid_utf8, "parse failure"),
+    ("recordings/*.labels.json", _insert_invalid_utf8, "parse failure"),
+    ("recordings/*.meta.json", _insert_invalid_utf8, "parse failure"),
+    ("manifest.json", _truncate, "parse failure"),
+    ("subjects.json", _truncate, "parse failure"),
+    ("subjects.json", _drop_paretic_side, "malformed subject"),
+], ids=["csv-utf8", "labels-utf8", "meta-utf8", "truncated-manifest",
+        "truncated-subjects", "missing-paretic-side"])
+def test_malformed_data_file_exits_1(pipeline, tmp_path, capsys, pattern, edit, message):
+    tmp, cfg_path = pipeline
+    data = tmp_path / "data"
+    shutil.copytree(tmp / "data", data)
+    path = sorted(data.glob(pattern))[0]
+    edit(path)
+    out = tmp_path / "out"
+    shutil.copytree(tmp / "out", out)
+    assert main(["predict", "--config", str(cfg_path), "--data", str(data),
+                 "--out", str(out)]) == 1
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
 def test_stream_command_writes_events(pipeline):
     tmp, cfg_path = pipeline
     assert main(["stream", "--config", str(cfg_path), "--speed", "inf"]) == 0

@@ -1,11 +1,17 @@
+import csv
+import io
 import json
+import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from primcount import dataset
 from primcount.dataset import (
     CLASSES,
+    KIND_ACCELERATION,
     ChannelDescriptor,
     ChannelManifest,
     ClassSignatureParams,
@@ -26,6 +32,8 @@ from primcount.dataset import (
     synthesize_dataset,
     synthetic_manifest,
     validate_tiling,
+    _load_frames,
+    _load_frames_by_row,
 )
 
 
@@ -235,6 +243,174 @@ class TestFileIO:
             got = by_id[orig.recording_id]
             np.testing.assert_array_equal(got.recording.frames, orig.recording.frames)
             assert got.segments == orig.segments
+
+    def test_header_only_frames_file(self, tmp_path):
+        spec = SynthSpec(n_subjects=1, trials_per_subject=1, duration_s=2.0,
+                         sample_rate_hz=50.0, n_channels=5)
+        ds = synthesize_dataset(spec, seed=3)
+        frames_path = save_recording(ds.recordings[0], tmp_path, ds.manifest)
+        header = frames_path.read_text().splitlines()[0]
+        frames_path.write_text(header + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{frames_path}: no frames")):
+            load_recording(
+                frames_path, frames_path.with_suffix(".labels.json"), ds.manifest
+            )
+
+    @pytest.mark.parametrize("name, edit, message", [
+        ("manifest.json", lambda text: "{}", "manifest file must hold a JSON array"),
+        ("manifest.json", lambda text: '[{"name": "a"}]', "malformed manifest entry: 'sensor'"),
+        ("subjects.json", lambda text: "[]", "subjects file must hold a JSON object"),
+        ("subjects.json", lambda text: text.replace('"ue_fma_score": 31', '"ue_fma_score": 99'),
+         "malformed subject 's00': impairment score 99"),
+    ], ids=["manifest-object", "manifest-entry", "subjects-array", "score-out-of-range"])
+    def test_malformed_dataset_file_names_the_file(self, tmp_path, name, edit, message):
+        spec = SynthSpec(n_subjects=2, trials_per_subject=1, duration_s=2.0,
+                         sample_rate_hz=40.0, n_channels=6)
+        ds = synthesize_dataset(spec, seed=11)
+        save_dataset(ds, tmp_path / "data")
+        path = tmp_path / "data" / name
+        text = path.read_text()
+        edited = edit(text)
+        assert edited != text
+        path.write_text(edited)
+        with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load_dataset(tmp_path / "data")
+
+    def test_writer_matches_csv_writer(self, tmp_path):
+        manifest = ChannelManifest((
+            ChannelDescriptor("acc,x", "s0", KIND_ACCELERATION, "g"),
+            ChannelDescriptor('acc "y"', "s0", KIND_ACCELERATION, "g"),
+            ChannelDescriptor("acc_z", "s0", KIND_ACCELERATION, "g"),
+        ))
+        frames = np.random.default_rng(4).standard_normal((40, 3)) * 1e3
+        frames[0] = [-0.0, 5e-324, 1.7976931348623157e308]
+        frames[1] = [0.1, -1e-300, 123456789.0]
+        recording = IMURecording("s00", "desk", 0, 30.0, frames)
+        labeled = LabeledRecording(recording, [PrimitiveSegment(0, 40, PrimitiveClass.REACH)])
+        frames_path = save_recording(labeled, tmp_path, manifest)
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["t", *manifest.names])
+        for i, row in enumerate(recording.frames):
+            writer.writerow([repr(i / 30.0), *(repr(float(v)) for v in row)])
+        assert frames_path.read_bytes() == expected.getvalue().encode("utf-8")
+        assert frames_path.read_text().startswith('t,"acc,x","acc ""y""",acc_z\n')
+        loaded = _load_frames(frames_path, manifest)
+        assert loaded.tobytes() == recording.frames.tobytes()
+
+
+def _frames_file(rows: list[str], end: str = "\n", header: str = "t,a,b,c") -> str:
+    return end.join([header, *rows]) + end
+
+
+_ROWS = ["0.0,1.5,-2.25,3.0", "0.01,0.5,0.25,-1.0", "0.02,4.0,5.0,6.0"]
+
+
+def _with_row(row: str) -> str:
+    return _frames_file([_ROWS[0], row, _ROWS[2]])
+
+
+def _random_round_trip() -> str:
+    values = np.random.default_rng(9).standard_normal((50, 3)) * 10.0 ** np.arange(-3, 3, 2)
+    values[0] = [-0.0, 5e-324, 1.7976931348623157e308]
+    values[1] = [-5e-324, -1.7976931348623157e308, 2.2250738585072014e-308]
+    return _frames_file([
+        ",".join(map(repr, (i / 100.0, *row.tolist()))) for i, row in enumerate(values)
+    ])
+
+
+# name -> (file text, whether the bulk parse must take it without the row loop)
+_FRAMES_CASES = {
+    "plain": (_frames_file(_ROWS), True),
+    "short-row": (_with_row("0.01,0.5,0.25"), False),
+    "long-row": (_with_row("0.01,0.5,0.25,-1.0,2.0"), False),
+    "blank-line": (_frames_file([_ROWS[0], "", *_ROWS[1:]]), False),
+    "trailing-blank-line": (_frames_file(_ROWS) + "\n", False),
+    "comment-row": (_with_row("#0.01,0.5,0.25,-1.0"), False),
+    "quoted-value": (_with_row('0.01,"0.5",0.25,-1.0'), False),
+    "underscore-digits": (_with_row("0.01,1_0,0.25,-1.0"), False),
+    "empty-field": (_with_row("0.01,,0.25,-1.0"), False),
+    "hex-value": (_with_row("0.01,0x10,0.25,-1.0"), False),
+    "nan": (_with_row("0.01,nan,0.25,-1.0"), True),
+    "inf": (_with_row("0.01,0.5,-inf,-1.0"), True),
+    "non-numeric-t": (_with_row("later,0.5,0.25,-1.0"), False),
+    "crlf": (_frames_file(_ROWS, end="\r\n"), True),
+    "no-trailing-newline": (_frames_file(_ROWS)[:-1], True),
+    "extra-spaces": (_with_row("0.01, 0.5 ,0.25 ,  -1.0"), False),
+    "header-only": (_frames_file([]), False),
+    "wrong-header": (_frames_file(_ROWS, header="time,a,b,c"), False),
+    "random-round-trip": (_random_round_trip(), True),
+}
+
+
+def _outcome(load):
+    try:
+        frames = load()
+    except DataError as exc:
+        return ("error", str(exc))
+    return ("frames", frames.dtype, frames.shape, frames.flags.c_contiguous, frames.tobytes())
+
+
+class TestFramesLoader:
+    MANIFEST = synthetic_manifest(3)
+
+    @pytest.mark.parametrize("name", list(_FRAMES_CASES))
+    def test_bulk_parse_matches_row_loop(self, tmp_path, monkeypatch, name):
+        text, bulk = _FRAMES_CASES[name]
+        path = tmp_path / "frames.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = _outcome(lambda: _load_frames_by_row(path, 3))
+        if bulk:
+            def row_loop_not_expected(*args):
+                raise AssertionError("bulk parse fell back to the row loop")
+            monkeypatch.setattr(dataset, "_load_frames_by_row", row_loop_not_expected)
+        assert _outcome(lambda: _load_frames(path, self.MANIFEST)) == expected
+
+    def test_row_loop_reference_outcomes(self, tmp_path):
+        """What the reference accepts and rejects, so the comparison is not vacuous."""
+        messages = {}
+        for name, (text, _) in _FRAMES_CASES.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(text.encode("utf-8"))
+            try:
+                frames = _load_frames_by_row(path, 3)
+            except DataError as exc:
+                messages[name] = str(exc).removeprefix(str(path))
+                continue
+            assert frames.shape[1] == 3
+            if name == "quoted-value":
+                assert frames[1].tolist() == [0.5, 0.25, -1.0]
+            if name == "underscore-digits":
+                assert frames[1, 0] == 10.0
+        mismatch = ":{}: dimensionality mismatch: row has {} values, manifest declares 3"
+        not_a_float = ":3: parse failure: could not convert string to float: {!r}"
+        assert messages == {
+            "short-row": mismatch.format(3, 2),
+            "long-row": mismatch.format(3, 4),
+            "blank-line": mismatch.format(3, -1),
+            "trailing-blank-line": mismatch.format(5, -1),
+            "empty-field": not_a_float.format(""),
+            "hex-value": not_a_float.format("0x10"),
+            "nan": ": non-finite value in frames",
+            "inf": ": non-finite value in frames",
+            "header-only": ": no frames",
+            "wrong-header": ": dimensionality mismatch in header: 3 channels, manifest declares 3",
+        }
+
+    def test_memory_bounded_by_frames(self, tmp_path):
+        manifest = synthetic_manifest(77)
+        frames = np.random.default_rng(2).standard_normal((2000, 77))
+        recording = IMURecording("s00", "desk", 0, 100.0, frames)
+        labeled = LabeledRecording(recording, [PrimitiveSegment(0, 2000, PrimitiveClass.IDLE)])
+        frames_path = save_recording(labeled, tmp_path, manifest)
+        tracemalloc.start()
+        try:
+            loaded = _load_frames(frames_path, manifest)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.tobytes() == frames.tobytes()
+        assert peak <= 2.5 * frames.nbytes, peak / frames.nbytes
 
 
 class TestScheduler:
