@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 import json
+import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -321,11 +322,14 @@ def _load_frames(path: Path, manifest: ChannelManifest) -> np.ndarray:
     _check_frames_header(path, header, expect)
     n_rows = _count_lines(path) - 1
     table = None
-    if n_rows > 0:  # loadtxt warns on a file without data lines
+    if n_rows > 0:
         try:
-            table = np.loadtxt(
-                path, delimiter=",", skiprows=1, comments=None, ndmin=2, encoding="utf-8"
-            )
+            with warnings.catch_warnings():
+                # every data line blank; the row loop names the first
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                table = np.loadtxt(
+                    path, delimiter=",", skiprows=1, comments=None, ndmin=2, encoding="utf-8"
+                )
         except ValueError:  # UnicodeDecodeError too; the row loop names the fault
             pass
     # loadtxt skips blank lines, which the row loop rejects
@@ -340,11 +344,13 @@ def _load_frames(path: Path, manifest: ChannelManifest) -> np.ndarray:
 def _check_frames_header(path: Path, header: list[str] | None, expect: int) -> None:
     if header is None:
         raise DataError(f"{path}: empty frames file")
-    if len(header) != expect + 1 or header[0] != "t":
+    if len(header) != expect + 1:
         raise DataError(
             f"{path}: dimensionality mismatch in header: {len(header) - 1} "
             f"channels, manifest declares {expect}"
         )
+    if header[0] != "t":
+        raise DataError(f"{path}: first header column must be 't', got {header[0]!r}")
 
 
 def _count_lines(path: Path) -> int:
@@ -365,15 +371,18 @@ def _load_frames_by_row(path: Path, expect: int) -> np.ndarray:
             reader = csv.reader(fh)
             _check_frames_header(path, next(reader, None), expect)
             for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    raise DataError(f"{path}:{lineno}: blank line")
                 if len(row) != expect + 1:
                     raise DataError(
                         f"{path}:{lineno}: dimensionality mismatch: row has "
                         f"{len(row) - 1} values, manifest declares {expect}"
                     )
                 try:
-                    rows.append([float(v) for v in row[1:]])
+                    _, *values = [float(v) for v in row]  # t is parsed, not kept
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: parse failure: {exc}") from None
+                rows.append(values)
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: parse failure: {exc}") from None
     if not rows:

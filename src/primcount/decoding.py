@@ -13,7 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import CLASSES, DataError, PrimitiveClass
-from .model import EOS_TOKEN, SOS_TOKEN, EnsembleModel, _encode_context, decode_step_batch
+from .model import (
+    EOS_TOKEN, SOS_TOKEN, EnsembleModel, _encode_context, _fork_map, decode_step_batch,
+)
 from .preprocess import TargetSequence, Window, normalize_frames
 
 
@@ -87,21 +89,23 @@ def decode_windows(
     """Greedy ensemble decoding of many windows at once.
 
     Every member normalizes the windows with its own stats and encodes
-    them independently; at each step the members' token distributions
-    are averaged, the argmax (lowest code on ties, SOS excluded) is the
-    shared prediction, EOS stops a window, and the shared token feeds
-    back into every member's decoder.
+    them independently, each in a forked worker process (`_fork_map`;
+    one member encodes in this process); at each step the members'
+    token distributions are averaged, the argmax (lowest code on ties,
+    SOS excluded) is the shared prediction, EOS stops a window, and the
+    shared token feeds back into every member's decoder. An encoding
+    worker that dies, killed for memory say, raises ChildProcessError.
     """
     if not windows:
         return []
     B = len(windows)
     max_tokens = ensemble.config.max_decode_len - 1
     raw = np.stack([w.frames for w in windows], axis=1)  # (T, B, D)
-    normalized = np.empty(raw.shape)  # one buffer, reused by every member
-    states = [
-        _encode_context(params, normalize_frames(raw, stats, out=normalized))
-        for params, stats in ensemble.members
-    ]
+    states = _fork_map(
+        lambda params, stats: _encode_context(params, normalize_frames(raw, stats)),
+        ensemble.members,
+        died=ChildProcessError,
+    )
 
     prev = np.full(B, SOS_TOKEN, dtype=np.int64)
     done = np.zeros(B, dtype=bool)

@@ -702,16 +702,58 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _train_fold(job: tuple, conn) -> None:
-    """Worker body: train one member, send (error, result) to the parent."""
-    # train_member is looked up here, in the worker, so a replacement
-    # installed in this module before the fork runs, even one that
-    # cannot be pickled
+def _fork_call(fn, job: tuple, conn) -> None:
+    """Worker body: send (error, fn(*job)) to the parent."""
     try:
-        outcome = (None, train_member(*job))
+        outcome = (None, fn(*job))
     except Exception as e:  # the parent raises it
         outcome = (e, None)
     conn.send(outcome)
+
+
+def _fork_map(fn, jobs: list[tuple], died: type[Exception] = TrainingError) -> list:
+    """[fn(*job) for job in jobs], each job in a forked worker process.
+
+    At most min(len(jobs), usable CPUs) workers run at a time and results
+    come back in job order. A single job runs in this process, so a
+    worker never forks again. The first failure in job order, the job's
+    own exception or `died` for a worker that exited without a result,
+    is raised as soon as it is known, after every worker is stopped.
+    """
+    if len(jobs) <= 1:
+        return [fn(*job) for job in jobs]
+    # fork, so workers inherit fn and their job (arrays shared
+    # copy-on-write) as they are now, even a closure; only results and
+    # errors cross a pickle. A process per job rather than a pool:
+    # ProcessPoolExecutor cannot stop the workers still running after a
+    # failure, and multiprocessing.Pool waits forever for the result of
+    # a worker that was killed, say, for memory.
+    ctx = multiprocessing.get_context("fork")
+    width = _usable_cpus()
+    workers, results = [], []
+    try:
+        for i in range(len(jobs)):
+            while len(workers) < min(len(jobs), i + width):
+                recv, send = ctx.Pipe(duplex=False)
+                proc = ctx.Process(target=_fork_call, args=(fn, jobs[len(workers)], send))
+                proc.start()
+                send.close()
+                workers.append((proc, recv))
+            proc, recv = workers[i]
+            try:
+                error, result = recv.recv()
+            except EOFError:
+                proc.join()
+                raise died(f"member {i} worker exited with code {proc.exitcode}") from None
+            if error is not None:
+                raise error
+            results.append(result)
+    finally:
+        for proc, recv in workers:
+            proc.terminate()
+            proc.join()
+            recv.close()
+    return results
 
 
 def train_ensemble(
@@ -725,10 +767,8 @@ def train_ensemble(
 
     Each member's seed derives only from (seed, fold index), so training
     them in any order, or separately, produces identical parameters.
-    The members train in forked worker processes, at most min(n_folds,
-    usable CPUs) at a time; results come back in fold order. The first
-    failure in fold order, a member's exception or a worker that died,
-    is raised as soon as it is known, after every worker is stopped.
+    The members train in forked worker processes through `_fork_map`;
+    a worker that dies raises TrainingError.
     """
     subjects = sorted({r.recording.subject_id for r in data.recordings})
     folds = split_subjects(subjects, n_folds=n_folds, seed=seed)
@@ -736,39 +776,7 @@ def train_ensemble(
         (fold, data, model_config, replace(train_config, seed=member_seed(seed, i)))
         for i, fold in enumerate(folds)
     ]
-    # fork, so workers inherit their job (recordings shared copy-on-write)
-    # and this module's functions as they are now; only results and
-    # errors cross a pickle. A process per fold rather than a pool:
-    # ProcessPoolExecutor cannot stop the workers still running after a
-    # failure, and multiprocessing.Pool waits forever for the result of
-    # a worker that was killed, say, for memory.
-    ctx = multiprocessing.get_context("fork")
-    width = _usable_cpus()
-    workers, results = [], []
-    try:
-        for i in range(len(jobs)):
-            while len(workers) < min(len(jobs), i + width):
-                recv, send = ctx.Pipe(duplex=False)
-                proc = ctx.Process(target=_train_fold, args=(jobs[len(workers)], send))
-                proc.start()
-                send.close()
-                workers.append((proc, recv))
-            proc, recv = workers[i]
-            try:
-                error, result = recv.recv()
-            except EOFError:
-                proc.join()
-                raise TrainingError(
-                    f"member {i} worker exited with code {proc.exitcode}"
-                ) from None
-            if error is not None:
-                raise error
-            results.append(result)
-    finally:
-        for proc, recv in workers:
-            proc.terminate()
-            proc.join()
-            recv.close()
+    results = _fork_map(train_member, jobs)
     members = [(params, stats) for params, stats, _ in results]
     logs = [log for _, _, log in results]
     return EnsembleModel(model_config, members), logs

@@ -143,18 +143,15 @@ def fit_normalization(
     return NormalizationStats(mean, std, source_split)
 
 
-def normalize_frames(
-    frames: np.ndarray, stats: NormalizationStats, out: np.ndarray | None = None
-) -> np.ndarray:
-    """(frames - mean) / std; written into `out` (a float64 array of the
-    frames' shape) when given, else into a new array."""
+def normalize_frames(frames: np.ndarray, stats: NormalizationStats) -> np.ndarray:
+    """(frames - mean) / std, in one new array."""
     frames = np.asarray(frames, dtype=np.float64)
     if frames.shape[-1] != stats.channel_count:
         raise DataError(
             f"dimensionality mismatch: frames have {frames.shape[-1]} channels, "
             f"stats have {stats.channel_count}"
         )
-    out = np.subtract(frames, stats.mean, out=out)
+    out = np.subtract(frames, stats.mean)
     return np.divide(out, stats.std, out=out)
 
 

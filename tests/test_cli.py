@@ -339,6 +339,24 @@ def test_unreadable_model_file_exits_1(pipeline, tmp_path, capsys):
     assert "not a model file" in capsys.readouterr().err
 
 
+def test_killed_encoding_worker_exits_1(pipeline, tmp_path, monkeypatch, capsys):
+    import os
+    import signal
+
+    import primcount.decoding as decoding_mod
+
+    tmp, cfg_path = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(tmp / "out", out)
+
+    def killed(params, xs):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(decoding_mod, "_encode_context", killed)
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "error: member 0 worker exited with code -9" in capsys.readouterr().err
+
+
 def _insert_invalid_utf8(path: Path) -> None:
     raw = path.read_bytes()
     path.write_bytes(raw[:len(raw) // 2] + b"\xff" + raw[len(raw) // 2:])

@@ -334,6 +334,9 @@ _FRAMES_CASES = {
     "nan": (_with_row("0.01,nan,0.25,-1.0"), True),
     "inf": (_with_row("0.01,0.5,-inf,-1.0"), True),
     "non-numeric-t": (_with_row("later,0.5,0.25,-1.0"), False),
+    "empty-t": (_with_row(",0.5,0.25,-1.0"), False),
+    "inf-t": (_with_row("inf,0.5,0.25,-1.0"), True),
+    "all-lines-blank": (_frames_file([""]), False),
     "crlf": (_frames_file(_ROWS, end="\r\n"), True),
     "no-trailing-newline": (_frames_file(_ROWS)[:-1], True),
     "extra-spaces": (_with_row("0.01, 0.5 ,0.25 ,  -1.0"), False),
@@ -387,15 +390,26 @@ class TestFramesLoader:
         assert messages == {
             "short-row": mismatch.format(3, 2),
             "long-row": mismatch.format(3, 4),
-            "blank-line": mismatch.format(3, -1),
-            "trailing-blank-line": mismatch.format(5, -1),
+            "blank-line": ":3: blank line",
+            "trailing-blank-line": ":5: blank line",
+            "all-lines-blank": ":2: blank line",
+            "comment-row": not_a_float.format("#0.01"),
             "empty-field": not_a_float.format(""),
             "hex-value": not_a_float.format("0x10"),
+            "non-numeric-t": not_a_float.format("later"),
+            "empty-t": not_a_float.format(""),
             "nan": ": non-finite value in frames",
             "inf": ": non-finite value in frames",
             "header-only": ": no frames",
-            "wrong-header": ": dimensionality mismatch in header: 3 channels, manifest declares 3",
+            "wrong-header": ": first header column must be 't', got 'time'",
         }
+
+    def test_all_blank_data_lines_warn_nothing(self, tmp_path, recwarn):
+        path = tmp_path / "frames.csv"
+        path.write_text("t,a,b,c\n\n")
+        with pytest.raises(DataError, match=r":2: blank line"):
+            _load_frames(path, self.MANIFEST)
+        assert [str(w.message) for w in recwarn] == []
 
     def test_memory_bounded_by_frames(self, tmp_path):
         manifest = synthetic_manifest(77)

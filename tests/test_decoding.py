@@ -158,6 +158,59 @@ class TestDecodeWindow:
         assert peak <= 2.5 * frame_bytes, peak / frame_bytes
 
 
+class TestEncodingWorkers:
+    def members(self):
+        return [(init_params(CFG, s), ident_stats()) for s in (1, 2, 3, 4)]
+
+    def test_member_error_reaches_the_caller(self, monkeypatch):
+        import multiprocessing
+
+        import primcount.decoding as decoding_mod
+
+        members = self.members()
+        original = decoding_mod._encode_context
+
+        def member_2_fails(params, xs):
+            if params is members[2][0]:
+                raise DataError("member 2 cannot encode")
+            return original(params, xs)
+
+        monkeypatch.setattr(decoding_mod, "_encode_context", member_2_fails)
+        with pytest.raises(DataError, match="^member 2 cannot encode$"):
+            decode_windows(EnsembleModel(CFG, members), toy_windows(3))
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_names_member_and_exit_code(self, monkeypatch):
+        import multiprocessing
+        import os
+        import signal
+
+        import primcount.decoding as decoding_mod
+
+        members = self.members()
+        original = decoding_mod._encode_context
+
+        def member_1_killed(params, xs):
+            if params is members[1][0]:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return original(params, xs)
+
+        monkeypatch.setattr(decoding_mod, "_encode_context", member_1_killed)
+        with pytest.raises(ChildProcessError, match="member 1 worker exited with code -9"):
+            decode_windows(EnsembleModel(CFG, members), toy_windows(3))
+        assert multiprocessing.active_children() == []
+
+    def test_single_member_starts_no_process(self, monkeypatch):
+        import multiprocessing
+
+        def no_process(*args, **kwargs):
+            raise AssertionError("decode started a process")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", no_process)
+        ensemble = EnsembleModel(CFG, self.members()[:1])
+        assert len(decode_windows(ensemble, toy_windows(3))) == 3
+
+
 class TestWindowPrediction:
     def test_rejects_non_primitive_tokens(self):
         with pytest.raises(DataError, match="non-primitive token"):

@@ -25,6 +25,7 @@ from primcount.model import (
     _batch_forward_backward,
     _encode_batch,
     _encode_context,
+    _fork_map,
     _layout,
     _sigmoid,
     decode_step_batch,
@@ -466,6 +467,31 @@ class TestTrainEnsemble:
         stats = NormalizationStats(np.zeros(3), np.ones(3))
         with pytest.raises(DataError, match="config mismatch"):
             EnsembleModel(TINY, [(p1, stats), (p2, stats)])
+
+
+class TestForkMap:
+    def test_paper_shape_contexts_bitwise_equal_in_process(self):
+        cfg = ModelConfig(input_dim=77, hidden_dim=64, embed_dim=32)
+        rng = np.random.default_rng(3)
+        jobs = [(init_params(cfg, s), rng.normal(size=(600, 8, 77))) for s in range(4)]
+        forked = _fork_map(_encode_context, jobs)
+        assert len(forked) == 4
+        for (params, xs), ctx in zip(jobs, forked):
+            assert ctx.tobytes() == _encode_context(params, xs).tobytes()
+
+    def test_closures_run_in_workers_and_return_in_job_order(self):
+        import os
+
+        parent = os.getpid()
+        results = _fork_map(lambda i: (i, os.getpid()), [(i,) for i in range(5)])
+        assert [i for i, _ in results] == list(range(5))
+        assert parent not in {pid for _, pid in results}
+
+    def test_single_job_runs_in_this_process(self):
+        import os
+
+        assert _fork_map(lambda: os.getpid(), [()]) == [os.getpid()]
+        assert _fork_map(len, []) == []
 
 
 class TestPersistence:
