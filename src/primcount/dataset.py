@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import csv
 import enum
+import hashlib
+import io
 import json
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -155,8 +158,8 @@ class IMURecording:
             raise DataError("frames must be a 2-D array")
         if not np.isfinite(self.frames).all():
             raise DataError("non-finite value in frames")
-        if self.sample_rate_hz <= 0:
-            raise DataError("sample rate must be positive")
+        if not 0 < self.sample_rate_hz <= sys.float_info.max:  # NaN fails too
+            raise DataError("sample rate must be finite and positive")
         self.frames.setflags(write=False)
 
     @property
@@ -275,11 +278,14 @@ class DatasetSplit:
 # ---------------------------------------------------------------------------
 # File I/O
 #
-# A recording on disk is three files sharing a stem:
+# A recording on disk is four files sharing a stem:
 #   <stem>.csv          frames, header "t,<channel names>", one row per frame
+#   <stem>.npy          the same frames as float64; read instead of the CSV
+#                       only while both hash to the digests in the meta file
 #   <stem>.labels.json  JSON array of {"class": ..., "start": ..., "end": ...}
 #   <stem>.meta.json    {"subject_id": ..., "activity": ..., "trial": ...,
-#                        "sample_rate_hz": ...}
+#                        "sample_rate_hz": ..., "frames_sidecar": {"csv_bytes":
+#                        ..., "csv_sha256": ..., "npy_sha256": ...}}
 # ---------------------------------------------------------------------------
 
 
@@ -292,7 +298,7 @@ def load_recording(
     frames_path = Path(frames_path)
     labels_path = Path(labels_path)
     meta = _load_meta(labels_path)
-    frames = _load_frames(frames_path, manifest)
+    frames = _load_frames(frames_path, manifest, meta.get("frames_sidecar"))
     segments = _load_segments(labels_path)
     recording = IMURecording(
         subject_id=meta["subject_id"],
@@ -305,13 +311,13 @@ def load_recording(
     return LabeledRecording(recording, segments)
 
 
-def _load_frames(path: Path, manifest: ChannelManifest) -> np.ndarray:
-    """Parse a frames CSV with one bulk ``np.loadtxt`` pass over the file.
+def _load_frames(path: Path, manifest: ChannelManifest, sidecar=None) -> np.ndarray:
+    """Read a frames CSV, or its ``.npy`` sidecar when ``_load_sidecar`` accepts it.
 
-    Whatever the bulk parse rejects, or parses into another shape than
-    one row per data line, goes through the row loop, which names the
-    offending line or accepts what only ``float()`` reads (quoted
-    fields, ``1_0``).
+    Otherwise the file is parsed with one bulk ``np.loadtxt`` pass;
+    whatever that rejects, or parses into another shape than one row
+    per data line, goes through the row loop, which names the offending
+    line or accepts what only ``float()`` reads (quoted fields, ``1_0``).
     """
     expect = manifest.channel_count
     try:
@@ -320,25 +326,58 @@ def _load_frames(path: Path, manifest: ChannelManifest) -> np.ndarray:
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: parse failure: {exc}") from None
     _check_frames_header(path, header, expect)
-    n_rows = _count_lines(path) - 1
-    table = None
-    if n_rows > 0:
-        try:
-            with warnings.catch_warnings():
-                # every data line blank; the row loop names the first
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                table = np.loadtxt(
-                    path, delimiter=",", skiprows=1, comments=None, ndmin=2, encoding="utf-8"
-                )
-        except ValueError:  # UnicodeDecodeError too; the row loop names the fault
-            pass
-    # loadtxt skips blank lines, which the row loop rejects
-    if table is None or table.shape != (n_rows, expect + 1):
-        return _load_frames_by_row(path, expect)
-    frames = np.ascontiguousarray(table[:, 1:])
+    frames = _load_sidecar(path, sidecar, expect)
+    if frames is None:
+        n_rows = _count_lines(path) - 1
+        table = None
+        if n_rows > 0:
+            try:
+                with warnings.catch_warnings():
+                    # every data line blank; the row loop names the first
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    table = np.loadtxt(
+                        path, delimiter=",", skiprows=1, comments=None, ndmin=2, encoding="utf-8"
+                    )
+            except ValueError:  # UnicodeDecodeError too; the row loop names the fault
+                pass
+        # loadtxt skips blank lines, which the row loop rejects
+        if table is None or table.shape != (n_rows, expect + 1):
+            return _load_frames_by_row(path, expect)
+        frames = np.ascontiguousarray(table[:, 1:])
     if not np.isfinite(frames).all():
         raise DataError(f"{path}: non-finite value in frames")
     return frames
+
+
+def _load_sidecar(path: Path, sidecar, expect: int) -> np.ndarray | None:
+    """Frames from ``<stem>.npy`` if it and the CSV hash as recorded, else None."""
+    if not isinstance(sidecar, dict) or path.stat().st_size != sidecar.get("csv_bytes"):
+        return None
+    npy_path = path.with_suffix(".npy")
+    try:
+        for file, key in ((path, "csv_sha256"), (npy_path, "npy_sha256")):
+            digest = hashlib.sha256()  # hashlib.file_digest needs Python 3.11
+            with open(file, "rb") as fh:
+                while chunk := fh.read(1 << 16):
+                    digest.update(chunk)
+            if digest.hexdigest() != sidecar.get(key):
+                return None
+        frames = np.load(npy_path, allow_pickle=False)
+    except (OSError, ValueError, EOFError):  # no readable .npy, or digests over a non-.npy
+        return None
+    shape_ok = frames.ndim == 2 and frames.shape[1] == expect
+    return frames if frames.dtype == np.float64 and shape_ok else None
+
+
+class _HashingWriter:
+    """Text file wrapper that hashes the UTF-8 bytes written through it."""
+
+    def __init__(self, fh):
+        self.fh, self.digest = fh, hashlib.sha256()
+
+    def write(self, text: str) -> None:
+        self.fh.write(text)
+        self.digest.update(text.encode("utf-8"))
 
 
 def _check_frames_header(path: Path, header: list[str] | None, expect: int) -> None:
@@ -437,11 +476,13 @@ def _load_meta(labels_path: Path) -> dict:
     rate = meta["sample_rate_hz"]
     if isinstance(rate, bool) or not isinstance(rate, (int, float)):
         raise DataError(f"{meta_path}: sample_rate_hz {rate!r} is not a number")
+    if not 0 < rate <= sys.float_info.max:  # NaN fails too
+        raise DataError(f"{meta_path}: sample_rate_hz {rate!r} is not finite and positive")
     return meta
 
 
 def save_recording(labeled: LabeledRecording, directory: str | Path, manifest: ChannelManifest) -> Path:
-    """Write the three files for one recording; returns the frames path."""
+    """Write the four files for one recording; returns the frames path."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     rec = labeled.recording
@@ -449,10 +490,14 @@ def save_recording(labeled: LabeledRecording, directory: str | Path, manifest: C
     frames_path = directory / f"{stem}.csv"
     fs = rec.sample_rate_hz
     with open(frames_path, "w", newline="", encoding="utf-8") as fh:
+        csv_out = _HashingWriter(fh)
         # csv.writer quotes channel names; float reprs never need quoting
-        csv.writer(fh, lineterminator="\n").writerow(["t", *manifest.names])
+        csv.writer(csv_out, lineterminator="\n").writerow(["t", *manifest.names])
         for i, row in enumerate(rec.frames):
-            fh.write(",".join(map(repr, (i / fs, *row.tolist()))) + "\n")
+            csv_out.write(",".join(map(repr, (i / fs, *row.tolist()))) + "\n")
+    npy = io.BytesIO()
+    np.save(npy, np.ascontiguousarray(rec.frames), allow_pickle=False)
+    (directory / f"{stem}.npy").write_bytes(npy.getbuffer())
     with open(directory / f"{stem}.labels.json", "w") as fh:
         json.dump(
             [
@@ -470,6 +515,11 @@ def save_recording(labeled: LabeledRecording, directory: str | Path, manifest: C
                 "activity": rec.activity,
                 "trial": rec.trial,
                 "sample_rate_hz": rec.sample_rate_hz,
+                "frames_sidecar": {
+                    "csv_bytes": frames_path.stat().st_size,
+                    "csv_sha256": csv_out.digest.hexdigest(),
+                    "npy_sha256": hashlib.sha256(npy.getbuffer()).hexdigest(),
+                },
             },
             fh,
             indent=1,

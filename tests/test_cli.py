@@ -152,7 +152,10 @@ def test_synth_deterministic(tmp_path):
     cfg_b = mini_config(tmp_path, name="b.json", data_root=str(tmp_path / "b"))
     assert main(["synth", "--config", str(cfg_a)]) == 0
     assert main(["synth", "--config", str(cfg_b)]) == 0
-    assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+    tree = tree_bytes(tmp_path / "a")
+    assert tree == tree_bytes(tmp_path / "b")
+    n_csv = sum(name.endswith(".csv") for name in tree)
+    assert n_csv > 0 and sum(name.endswith(".npy") for name in tree) == n_csv
 
 
 def test_synth_seed_changes_data(tmp_path):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import re
@@ -102,6 +103,11 @@ class TestRecordingValidation:
         with pytest.raises(DataError, match="non-finite"):
             IMURecording("s00", "a", 0, 100.0, frames)
 
+    @pytest.mark.parametrize("rate", [0.0, -50.0, float("nan"), float("inf")])
+    def test_sample_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(DataError, match="sample rate must be finite and positive"):
+            IMURecording("s00", "a", 0, rate, np.zeros((10, 3)))
+
     def test_frames_are_read_only(self):
         rec = IMURecording("s00", "a", 0, 100.0, np.zeros((10, 3)))
         with pytest.raises(ValueError):
@@ -196,6 +202,11 @@ class TestFileIO:
         (lambda m: m.update(trial="first"), "trial 'first' is not an integer"),
         ("{\"subject_id\": ", "parse failure"),
         ("[1, 2]", "must hold a JSON object"),
+        (lambda m: m.update(sample_rate_hz=float("nan")), "sample_rate_hz nan is not finite and positive"),
+        (lambda m: m.update(sample_rate_hz=float("inf")), "sample_rate_hz inf is not finite and positive"),
+        ('{"subject_id": "s00", "activity": "a", "trial": 0, "sample_rate_hz": 1e400}',
+         "sample_rate_hz inf is not finite and positive"),
+        (lambda m: m.update(sample_rate_hz=0), "sample_rate_hz 0 is not finite and positive"),
     ])
     def test_malformed_metadata_is_an_error(self, tmp_path, edit, message):
         spec = SynthSpec(n_subjects=1, trials_per_subject=1, duration_s=2.0,
@@ -209,10 +220,11 @@ class TestFileIO:
             meta = json.loads(meta_path.read_text())
             edit(meta)
             meta_path.write_text(json.dumps(meta))
-        with pytest.raises(DataError, match=message):
+        with pytest.raises(DataError, match=message) as info:
             load_recording(
                 frames_path, frames_path.with_suffix(".labels.json"), ds.manifest
             )
+        assert str(info.value).startswith(f"{meta_path}: ")
 
     def test_garbled_csv_is_a_parse_error(self, tmp_path):
         spec = SynthSpec(n_subjects=1, trials_per_subject=1, duration_s=2.0,
@@ -417,6 +429,7 @@ class TestFramesLoader:
         recording = IMURecording("s00", "desk", 0, 100.0, frames)
         labeled = LabeledRecording(recording, [PrimitiveSegment(0, 2000, PrimitiveClass.IDLE)])
         frames_path = save_recording(labeled, tmp_path, manifest)
+        frames_path.with_suffix(".npy").unlink()  # measure the CSV parse
         tracemalloc.start()
         try:
             loaded = _load_frames(frames_path, manifest)
@@ -425,6 +438,174 @@ class TestFramesLoader:
             tracemalloc.stop()
         assert loaded.tobytes() == frames.tobytes()
         assert peak <= 2.5 * frames.nbytes, peak / frames.nbytes
+
+
+def _sidecar_recording(directory: Path, frames: np.ndarray) -> tuple[Path, ChannelManifest]:
+    manifest = synthetic_manifest(frames.shape[1])
+    recording = IMURecording("s00", "desk", 0, 100.0, frames)
+    labeled = LabeledRecording(recording, [PrimitiveSegment(0, len(frames), PrimitiveClass.IDLE)])
+    return save_recording(labeled, directory, manifest), manifest
+
+
+def _edit_meta(frames_path: Path, edit) -> None:
+    meta_path = frames_path.with_suffix(".meta.json")
+    meta = json.loads(meta_path.read_text())
+    edit(meta)
+    meta_path.write_text(json.dumps(meta))
+
+
+def _reseal(frames_path: Path) -> None:
+    """Record the current CSV and .npy digests, as if the writer had made them."""
+    record = {
+        "csv_bytes": frames_path.stat().st_size,
+        "csv_sha256": hashlib.sha256(frames_path.read_bytes()).hexdigest(),
+        "npy_sha256": hashlib.sha256(frames_path.with_suffix(".npy").read_bytes()).hexdigest(),
+    }
+    _edit_meta(frames_path, lambda meta: meta.update(frames_sidecar=record))
+
+
+def _resave_npy(frames_path: Path, array) -> None:
+    np.save(frames_path.with_suffix(".npy"), array, allow_pickle=True)
+    _reseal(frames_path)
+
+
+def _flip_last_npy_byte(frames_path: Path) -> None:
+    npy = frames_path.with_suffix(".npy")
+    data = bytearray(npy.read_bytes())
+    data[-1] ^= 1
+    npy.write_bytes(bytes(data))
+
+
+# name -> edit after save_recording that must send the load to the CSV parse
+_STALE_SIDECARS = {
+    "npy-tampered": _flip_last_npy_byte,
+    "npy-truncated": lambda p: p.with_suffix(".npy").write_bytes(p.with_suffix(".npy").read_bytes()[:-8]),
+    "npy-deleted": lambda p: p.with_suffix(".npy").unlink(),
+    "no-record": lambda p: _edit_meta(p, lambda m: m.pop("frames_sidecar")),
+    "record-not-object": lambda p: _edit_meta(p, lambda m: m.update(frames_sidecar=[1, 2])),
+    "record-missing-digest": lambda p: _edit_meta(p, lambda m: m["frames_sidecar"].pop("npy_sha256")),
+    "record-size-as-text": lambda p: _edit_meta(
+        p, lambda m: m["frames_sidecar"].update(csv_bytes=str(m["frames_sidecar"]["csv_bytes"]))
+    ),
+    "npy-float32": lambda p: _resave_npy(p, np.load(p.with_suffix(".npy")).astype(np.float32)),
+    "npy-wrong-width": lambda p: _resave_npy(p, np.load(p.with_suffix(".npy"))[:, :-1]),
+    "npy-1d": lambda p: _resave_npy(p, np.load(p.with_suffix(".npy")).ravel()),
+    "npy-pickled": lambda p: _resave_npy(p, np.array([{"a": 1}], dtype=object)),
+    "npy-not-npy": lambda p: (p.with_suffix(".npy").write_bytes(b"not an array"), _reseal(p)),
+    "npy-empty": lambda p: (p.with_suffix(".npy").write_bytes(b""), _reseal(p)),
+}
+
+
+class TestFramesSidecar:
+    @pytest.fixture
+    def no_parse(self, monkeypatch):
+        """Fail every CSV parse, so a load can only come from the sidecar."""
+        def parse_not_expected(*args, **kwargs):
+            raise AssertionError("CSV parsed although the sidecar is current")
+        monkeypatch.setattr(np, "loadtxt", parse_not_expected)
+        monkeypatch.setattr(dataset, "_load_frames_by_row", parse_not_expected)
+
+    @pytest.fixture
+    def parses(self, monkeypatch):
+        """Paths the bulk CSV parse was called on."""
+        calls, loadtxt = [], np.loadtxt
+
+        def counted(path, *args, **kwargs):
+            calls.append(path)
+            return loadtxt(path, *args, **kwargs)
+        monkeypatch.setattr(np, "loadtxt", counted)
+        return calls
+
+    def test_round_trip_reads_sidecar_bitwise(self, tmp_path, no_parse):
+        frames = np.random.default_rng(5).standard_normal((300, 6)) * 10.0 ** np.arange(-6, 6, 2)
+        frames[0] = [5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, -0.0, 0.0]
+        frames_path, manifest = _sidecar_recording(tmp_path, frames)
+        loaded = load_recording(frames_path, frames_path.with_suffix(".labels.json"), manifest)
+        assert loaded.recording.frames.tobytes() == frames.tobytes()
+        assert loaded.recording.frames.tobytes() == _load_frames_by_row(frames_path, 6).tobytes()
+        meta = json.loads(frames_path.with_suffix(".meta.json").read_text())
+        got = _load_frames(frames_path, manifest, meta["frames_sidecar"])
+        assert (got.dtype, got.flags.c_contiguous) == (np.float64, True)
+
+    def test_same_size_csv_edit_loads_the_edit(self, tmp_path, parses):
+        frames = np.random.default_rng(6).standard_normal((20, 4))
+        frames_path, manifest = _sidecar_recording(tmp_path, frames)
+        lines = frames_path.read_text().splitlines(keepends=True)
+        fields = lines[2].split(",")
+        field = fields[3]
+        k = next(i for i, ch in enumerate(field) if ch in "12345678" and i > 2)
+        fields[3] = field[:k] + str(int(field[k]) + 1) + field[k + 1:]
+        lines[2] = ",".join(fields)
+        size = frames_path.stat().st_size
+        frames_path.write_text("".join(lines))
+        assert frames_path.stat().st_size == size
+        loaded = load_recording(frames_path, frames_path.with_suffix(".labels.json"), manifest)
+        expected = frames.copy()
+        expected[1, 2] = float(fields[3])
+        assert expected[1, 2] != frames[1, 2]
+        assert loaded.recording.frames.tobytes() == expected.tobytes()
+        assert parses == [frames_path]
+
+    @pytest.mark.parametrize("name", list(_STALE_SIDECARS))
+    def test_stale_sidecar_falls_back_to_csv(self, tmp_path, parses, name):
+        frames = np.random.default_rng(7).standard_normal((30, 4))
+        frames_path, manifest = _sidecar_recording(tmp_path, frames)
+        _STALE_SIDECARS[name](frames_path)
+        loaded = load_recording(frames_path, frames_path.with_suffix(".labels.json"), manifest)
+        assert loaded.recording.frames.tobytes() == frames.tobytes()
+        assert parses == [frames_path]
+
+    def test_header_mismatch_beats_a_current_sidecar(self, tmp_path, no_parse):
+        frames_path, _ = _sidecar_recording(tmp_path, np.zeros((10, 5)))
+        with pytest.raises(DataError, match="dimensionality mismatch in header: 5 channels"):
+            load_recording(
+                frames_path, frames_path.with_suffix(".labels.json"), synthetic_manifest(6)
+            )
+
+    def test_non_finite_sidecar_is_the_csv_error(self, tmp_path, no_parse):
+        frames_path, manifest = _sidecar_recording(tmp_path, np.ones((10, 3)))
+        frames_path.write_text(frames_path.read_text().replace("1.0", "nan", 1))
+        bad = np.ones((10, 3))
+        bad[0, 0] = np.nan
+        _resave_npy(frames_path, bad)
+        with pytest.raises(DataError) as from_csv:
+            _load_frames_by_row(frames_path, 3)  # the module's own, not the stub
+        with pytest.raises(DataError) as from_sidecar:
+            load_recording(frames_path, frames_path.with_suffix(".labels.json"), manifest)
+        assert str(from_sidecar.value) == str(from_csv.value) == f"{frames_path}: non-finite value in frames"
+
+    def test_memory_bounded_by_frames(self, tmp_path, no_parse):
+        frames = np.random.default_rng(2).standard_normal((2000, 77))
+        frames_path, manifest = _sidecar_recording(tmp_path, frames)
+        sidecar = json.loads(frames_path.with_suffix(".meta.json").read_text())["frames_sidecar"]
+        tracemalloc.start()
+        try:
+            loaded = _load_frames(frames_path, manifest, sidecar)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.tobytes() == frames.tobytes()
+        assert peak <= 1.25 * frames.nbytes, peak / frames.nbytes
+
+    def test_load_writes_nothing(self, tmp_path):
+        spec = SynthSpec(n_subjects=2, trials_per_subject=1, duration_s=2.0,
+                         sample_rate_hz=40.0, n_channels=6)
+        save_dataset(synthesize_dataset(spec, seed=11), tmp_path)
+
+        def tree():
+            return {
+                str(p.relative_to(tmp_path)): (p.read_bytes(), p.stat().st_mtime_ns)
+                for p in sorted(tmp_path.rglob("*")) if p.is_file()
+            }
+        before = tree()
+        assert sum(name.endswith(".npy") for name in before) == 2
+        load_dataset(tmp_path)
+        assert tree() == before
+        for path in tmp_path.rglob("*.npy"):
+            path.unlink()  # deleting sidecars is safe, and loading does not remake them
+        before = tree()
+        load_dataset(tmp_path)
+        assert tree() == before
 
 
 class TestScheduler:

@@ -121,17 +121,30 @@ class TestDecodeWindow:
             assert decode_windows(ensemble, [w])[0].tokens == p.tokens
             assert p.core_start == w.abs_core_start
 
-    def test_member_normalization_applied(self):
-        params = init_params(CFG, 5)
-        w = toy_windows(1, seed=2)[0]
-        shifted = NormalizationStats(np.full(4, 5.0), np.full(4, 0.5))
-        a = decode_windows(EnsembleModel(CFG, [(params, ident_stats())]), [w])[0]
-        b = decode_windows(EnsembleModel(CFG, [(params, shifted)]), [w])[0]
-        # different stats shift the encoder input, so contexts differ;
-        # decoded tokens may or may not differ, but the call must honor stats
-        raw = w.frames
-        np.testing.assert_allclose((raw - 5.0) / 0.5, (raw - shifted.mean) / shifted.std)
-        assert isinstance(a, WindowPrediction) and isinstance(b, WindowPrediction)
+    def test_member_normalization_applied(self, tmp_path, monkeypatch):
+        # each member encodes (raw - mean) / std built from its own stats;
+        # members encode in forked workers, so the stub records to files
+        import primcount.decoding as decoding_mod
+
+        windows = toy_windows(2, seed=2)
+        rng = np.random.default_rng(3)
+        ensemble = EnsembleModel(CFG, [
+            (init_params(CFG, seed), NormalizationStats(rng.normal(size=4), rng.uniform(0.5, 2.0, 4)))
+            for seed in (1, 2)
+        ])
+        encode = decoding_mod._encode_context
+
+        def recording_encode(params, xs):
+            i = next(k for k, (p, _) in enumerate(ensemble.members) if p is params)
+            np.save(tmp_path / f"member{i}.npy", xs)
+            return encode(params, xs)
+
+        monkeypatch.setattr(decoding_mod, "_encode_context", recording_encode)
+        decode_windows(ensemble, windows)
+        raw = np.stack([w.frames for w in windows], axis=1)
+        for i, (_, stats) in enumerate(ensemble.members):
+            expected = (raw - stats.mean) / stats.std
+            assert np.load(tmp_path / f"member{i}.npy").tobytes() == expected.tobytes()
 
     def test_length_cap(self):
         member = constant_member([1.0, 0, 0, 0, 0, 0, 0])
