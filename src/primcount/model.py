@@ -63,7 +63,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if not isinstance(getattr(self, f.name), (int, np.integer)):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise DataError(f"model {f.name} must be an integer")
         if self.hidden_dim < 1 or self.input_dim < 1 or self.embed_dim < 1:
             raise DataError("model dimensions must be positive")
@@ -180,6 +181,12 @@ def zero_params(config: ModelConfig) -> ModelParams:
 
 # ---------------------------------------------------------------------------
 # Recurrent cell forward/backward
+#
+# One recurrence runs a stack of S layers over a leading axis: the decoder
+# is a stack of one, the encoder its two directions. With a layer's gates
+# side by side (r|z|n), a step makes one input and one recurrent GEMM per
+# layer. GEMMs stay per step: one over all T*B rows runs on several BLAS
+# threads, which slow the other forked workers (see README).
 # ---------------------------------------------------------------------------
 
 
@@ -189,80 +196,106 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _gru_step(p: GRUParams, x: np.ndarray, h: np.ndarray):
-    """One step of the cell. x: (B, D), h: (B, H).
+def _fuse(layers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A stack of layers' arrays, gates side by side in r|z|n order:
+    W (S, D, 3H), U (S, H, 3H) and b (S, 1, 3H)."""
+    def joined(kind):
+        return np.stack([np.concatenate([getattr(p, kind + g) for g in "rzn"], axis=-1)
+                         for p in layers])
 
-    Returns (h', gates) with gates = (r, z, n, hn); hn is the recurrent
-    candidate term before the reset gate.
+    return joined("W"), joined("U"), joined("b")[:, None]
+
+
+def _gru_step(W, U, b, x: np.ndarray, h: np.ndarray):
+    """One step of a stack of cells. x: (S, B, D), h: (S, B, H).
+
+    Returns (h', rz, n, hn): the reset|update gates, the candidate and its
+    recurrent term before the reset gate.
     """
-    r = _sigmoid(x @ p.Wr + h @ p.Ur + p.br)
-    z = _sigmoid(x @ p.Wz + h @ p.Uz + p.bz)
-    hn = h @ p.Un
-    n = np.tanh(x @ p.Wn + r * hn + p.bn)
-    return (1.0 - z) * n + z * h, (r, z, n, hn)
+    H = h.shape[-1]
+    xw = x @ W
+    hu = h @ U
+    # (x@W + h@U) + b, the per-gate order, keeps states bitwise as before
+    pre = xw[..., : 2 * H] + hu[..., : 2 * H]
+    pre += b[..., : 2 * H]
+    rz = _sigmoid(pre)
+    r, z = rz[..., :H], rz[..., H:]
+    hn = hu[..., 2 * H :]
+    n = np.tanh(xw[..., 2 * H :] + r * hn + b[..., 2 * H :])
+    return (1.0 - z) * n + z * h, rz, n, hn
 
 
 class _GRUTape(NamedTuple):
     """What backprop needs from a forward run over time."""
 
-    xs: np.ndarray  # (T, B, D)
-    h0: np.ndarray  # (B, H)
-    hs: np.ndarray  # (T, B, H)
-    gates: list  # per step, the gates of _gru_step
+    xs: np.ndarray  # (T, B, D), read by every layer of the stack
+    rows: np.ndarray  # (T, S), the row of xs each layer reads at each step
+    h0: np.ndarray  # (S, B, H)
+    # each step's state and the gates _gru_step returned with it
+    hs: np.ndarray  # (S, T, B, H)
+    rz: np.ndarray  # (S, T, B, 2H)
+    n: np.ndarray  # (S, T, B, H)
+    hn: np.ndarray  # (S, T, B, H)
 
 
-def _gru_forward(p: GRUParams, xs: np.ndarray, h0: np.ndarray):
-    """Run the cell over time. xs: (T, B, D); returns hs (T, B, H) + tape."""
-    hs = np.empty((xs.shape[0],) + h0.shape)
-    gates = []
+def _gru_forward(layers, xs: np.ndarray, h0: np.ndarray, keep_tape: bool = True):
+    """Run a stack of layers over xs (T, B, D) from h0 (S, B, H); layer 0
+    reads xs forward in time, layer 1 backward. Returns the final states
+    (S, B, H) and the tape for _gru_backward (None without keep_tape)."""
+    W, U, b = _fuse(layers)
+    S, B, H = h0.shape
+    T = xs.shape[0]
+    rows = np.stack((np.arange(T), np.arange(T)[::-1]), axis=1)[:, :S]
+    tape = None
+    if keep_tape:
+        tape = _GRUTape(xs, rows, h0, *(np.empty((S, T, B, k * H)) for k in (1, 2, 1, 1)))
     h = h0
-    for t, x in enumerate(xs):
-        h, g = _gru_step(p, x, h)
-        gates.append(g)
-        hs[t] = h
-    return hs, _GRUTape(xs, h0, hs, gates)
+    for t in range(T):
+        h, rz, n, hn = _gru_step(W, U, b, xs.take(rows[t], axis=0), h)
+        if tape is not None:
+            tape.hs[:, t], tape.rz[:, t], tape.n[:, t], tape.hn[:, t] = h, rz, n, hn
+    return h, tape
 
 
-def _gru_backward(
-    p: GRUParams, tape: _GRUTape, dhs: np.ndarray, want_dx: bool, g: GRUParams
-):
-    """Backprop through time. dhs: upstream gradient on every h_t.
+def _gru_backward(layers, tape: _GRUTape, dhs: np.ndarray, want_dx: bool, grads):
+    """Backprop through time. dhs (S, T, B, H): upstream gradient on every
+    state. Adds the parameter gradients into grads, one GRUParams per layer.
 
-    Adds the parameter gradients into g; returns (dxs or None, dh0).
+    Returns (dxs or None, dh0): dxs (S, T, B, D) holds the gradient on the
+    input each layer read at each step, dh0 (S, B, H) the one on h0.
     """
-    T = tape.xs.shape[0]
-    dxs = np.zeros_like(tape.xs) if want_dx else None
-    dh_next = np.zeros_like(dhs[0])
+    W, U, _ = _fuse(layers)
+    S, T, B, H = dhs.shape
+    WT, UT = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (W, U))
+    gW, gU, gb = np.zeros_like(W), np.zeros_like(U), np.zeros((S, 3 * H))
+    dxs = np.empty((S, T, B, W.shape[1])) if want_dx else None
+    dh_next = np.zeros((S, B, H))
     for t in reversed(range(T)):
-        dh = dhs[t] + dh_next
-        x = tape.xs[t]
-        h_prev = tape.hs[t - 1] if t else tape.h0
-        r, z, n, hn = tape.gates[t]
+        dh = dhs[:, t] + dh_next
+        x = tape.xs.take(tape.rows[t], axis=0)
+        h_prev = tape.hs[:, t - 1] if t else tape.h0
+        r, z = tape.rz[:, t, :, :H], tape.rz[:, t, :, H:]
+        n, hn = tape.n[:, t], tape.hn[:, t]
 
         dz = dh * (h_prev - n) * z * (1.0 - z)
         dn = dh * (1.0 - z) * (1.0 - n * n)
         dh_prev = dh * z
-
-        g.Wn += x.T @ dn
-        g.bn += dn.sum(axis=0)
         d_hn = dn * r
-        g.Un += h_prev.T @ d_hn
-        dh_prev += d_hn @ p.Un.T
-
         dr = dn * hn * r * (1.0 - r)
-        g.Wr += x.T @ dr
-        g.br += dr.sum(axis=0)
-        g.Ur += h_prev.T @ dr
-        dh_prev += dr @ p.Ur.T
 
-        g.Wz += x.T @ dz
-        g.bz += dz.sum(axis=0)
-        g.Uz += h_prev.T @ dz
-        dh_prev += dz @ p.Uz.T
-
+        G = np.concatenate((dr, dz, dn), axis=-1)  # on the input pre-activations
+        R = np.concatenate((dr, dz, d_hn), axis=-1)  # on the recurrent terms
+        gW += x.transpose(0, 2, 1) @ G
+        gU += h_prev.transpose(0, 2, 1) @ R
+        gb += G.sum(axis=1)
+        dh_prev += R @ UT
         if want_dx:
-            dxs[t] = dn @ p.Wn.T + dr @ p.Wr.T + dz @ p.Wz.T
+            dxs[:, t] = G @ WT
         dh_next = dh_prev
+    for g, *fused in zip(grads, gW, gU, gb):
+        for kind, grad in zip("WUb", fused):
+            for i, gate in enumerate("rzn"):
+                getattr(g, kind + gate)[...] += grad[..., i * H : (i + 1) * H]
     return dxs, dh_next
 
 
@@ -280,48 +313,44 @@ def _check_channels(params: ModelParams, X: np.ndarray) -> None:
         )
 
 
-def _context(params: ModelParams, h_fwd: np.ndarray, h_bwd: np.ndarray):
-    """Final states of both directions -> (cat (B, 2H), context (B, H))."""
-    cat = np.concatenate([h_fwd, h_bwd], axis=1)
+def _context(params: ModelParams, h: np.ndarray):
+    """Final states of both directions (2, B, H) -> (cat (B, 2H), context (B, H))."""
+    cat = np.concatenate((h[0], h[1]), axis=1)
     return cat, np.tanh(cat @ params.ctx_W + params.ctx_b)
 
 
 def _encode_batch(params: ModelParams, X: np.ndarray):
-    """X: (B, T, D) -> context (B, H) plus the tapes for backprop."""
+    """X: (B, T, D) -> context (B, H) plus the tape for backprop."""
     _check_channels(params, X)
     xs = np.ascontiguousarray(X.transpose(1, 0, 2))
-    h0 = np.zeros((X.shape[0], params.config.hidden_dim))
-    hs_f, tape_f = _gru_forward(params.enc_fwd, xs, h0)
-    hs_b, tape_b = _gru_forward(params.enc_bwd, xs[::-1], h0)
-    cat, ctx = _context(params, hs_f[-1], hs_b[-1])
-    return ctx, (tape_f, tape_b, cat)
+    h0 = np.zeros((2, X.shape[0], params.config.hidden_dim))
+    h, tape = _gru_forward((params.enc_fwd, params.enc_bwd), xs, h0)
+    cat, ctx = _context(params, h)
+    return ctx, (tape, cat)
 
 
 def _encode_context(params: ModelParams, xs: np.ndarray) -> np.ndarray:
     """xs: (T, B, D), time-major -> context (B, H); keeps only the running
     states."""
     _check_channels(params, xs)
-    h_f = h_b = np.zeros((xs.shape[1], params.config.hidden_dim))
-    for x_f, x_b in zip(xs, xs[::-1]):
-        h_f, _ = _gru_step(params.enc_fwd, x_f, h_f)
-        h_b, _ = _gru_step(params.enc_bwd, x_b, h_b)
-    return _context(params, h_f, h_b)[1]
+    h0 = np.zeros((2, xs.shape[1], params.config.hidden_dim))
+    h, _ = _gru_forward((params.enc_fwd, params.enc_bwd), xs, h0, keep_tape=False)
+    return _context(params, h)[1]
 
 
 def _encode_backward(
     params: ModelParams, ctx: np.ndarray, tapes, dctx: np.ndarray, grads: ModelParams
 ):
-    tape_f, tape_b, cat = tapes
+    tape, cat = tapes
     H = params.config.hidden_dim
     dpre = dctx * (1.0 - ctx * ctx)
     grads.ctx_W += cat.T @ dpre
     grads.ctx_b += dpre.sum(axis=0)
     dcat = dpre @ params.ctx_W.T
-    for p, tape, g, dh_last in ((params.enc_fwd, tape_f, grads.enc_fwd, dcat[:, :H]),
-                                (params.enc_bwd, tape_b, grads.enc_bwd, dcat[:, H:])):
-        dhs = np.zeros(tape.hs.shape)
-        dhs[-1] = dh_last
-        _gru_backward(p, tape, dhs, False, g)
+    dhs = np.zeros(tape.hs.shape)
+    dhs[0, -1], dhs[1, -1] = dcat[:, :H], dcat[:, H:]
+    _gru_backward((params.enc_fwd, params.enc_bwd), tape, dhs, False,
+                  (grads.enc_fwd, grads.enc_bwd))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +372,8 @@ def decode_step_batch(
     states: (B, H); prev_tokens: (B,) token ids. Returns (probabilities
     over the vocabulary (B, VOCAB), new states (B, H)).
     """
-    new_states, _ = _gru_step(params.dec, params.embed[prev_tokens], states)
+    h, *_ = _gru_step(*_fuse((params.dec,)), params.embed[prev_tokens][None], states[None])
+    new_states = h[0]  # the decoder runs as a stack of one
     probs = _softmax(new_states @ params.out_W + params.out_b)
     return probs, new_states
 
@@ -386,7 +416,8 @@ def _batch_forward_backward(
     K = in_tokens.shape[1]
     ctx, enc_tapes = _encode_batch(params, X)
     xs = np.ascontiguousarray(params.embed[in_tokens].transpose(1, 0, 2))
-    hs, dec_tape = _gru_forward(params.dec, xs, ctx)
+    _, dec_tape = _gru_forward((params.dec,), xs, ctx[None])
+    hs = dec_tape.hs[0]  # (K, B, H)
     logits = hs @ params.out_W + params.out_b  # (K, B, V)
     probs = _softmax(logits)
     kk, bb = np.meshgrid(np.arange(K), np.arange(B), indexing="ij")
@@ -407,13 +438,13 @@ def _batch_forward_backward(
     grads.out_W += np.tensordot(hs, dlogits, axes=([0, 1], [0, 1]))
     grads.out_b += dlogits.sum(axis=(0, 1))
     dhs = dlogits @ params.out_W.T
-    dxs, dctx = _gru_backward(params.dec, dec_tape, dhs, True, grads.dec)
+    dxs, dctx = _gru_backward((params.dec,), dec_tape, dhs[None], True, (grads.dec,))
     np.add.at(
         grads.embed,
         in_tokens.T.reshape(-1),
-        dxs.reshape(-1, params.config.embed_dim),
+        dxs[0].reshape(-1, params.config.embed_dim),
     )
-    _encode_backward(params, ctx, enc_tapes, dctx, grads)
+    _encode_backward(params, ctx, enc_tapes, dctx[0], grads)
     return loss, grads.arrays()
 
 
@@ -529,8 +560,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise DataError("learning rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # also false for nan
+            raise DataError("learning rate must be positive and finite")
         if self.patience < 1:
             raise DataError("patience must be at least 1")
         if self.batch_size < 1 or self.max_epochs < 1:
@@ -670,6 +701,10 @@ def train_member(
             if not math.isfinite(batch_loss):
                 raise TrainingError(
                     f"training diverged at epoch {epoch}: loss={batch_loss}"
+                )
+            if not all(np.isfinite(g).all() for g in grads.values()):
+                raise TrainingError(
+                    f"training diverged at epoch {epoch}: non-finite gradient"
                 )
             opt.step(arrays, grads)
             loss_sum += batch_loss * len(idx)
@@ -844,6 +879,8 @@ def load_member(path: str | Path) -> tuple[ModelParams, NormalizationStats]:
         if loaded.shape != arr.shape:
             raise DataError(f"array {name} has shape {loaded.shape}, "
                             f"expected {arr.shape}")
+        if not np.isfinite(loaded).all():
+            raise DataError(f"{path}: array {name} holds non-finite values")
         arr[...] = loaded
     stats = NormalizationStats.from_json(doc["normalization"])
     if stats.channel_count != config.input_dim:

@@ -25,7 +25,10 @@ from primcount.model import (
     _batch_forward_backward,
     _encode_batch,
     _encode_context,
+    _encode_array,
     _fork_map,
+    _gru_backward,
+    _gru_forward,
     _layout,
     _sigmoid,
     decode_step_batch,
@@ -87,6 +90,76 @@ def encode_one(params, frames):
     ctx = _encode_context(params, frames[:, None])  # time-major
     np.testing.assert_array_equal(ctx, _encode_batch(params, frames[None])[0])
     return ctx[0]
+
+
+def ref_gru_step(p, x, h):
+    """One step of one layer, one GEMM per gate (reference)."""
+    r = _sigmoid(x @ p.Wr + h @ p.Ur + p.br)
+    z = _sigmoid(x @ p.Wz + h @ p.Uz + p.bz)
+    hn = h @ p.Un
+    n = np.tanh(x @ p.Wn + r * hn + p.bn)
+    return (1.0 - z) * n + z * h, (r, z, n, hn)
+
+
+def ref_gru_forward(p, xs, h0):
+    """One layer over xs (T, B, D) -> hs (T, B, H) and per-step gates."""
+    hs = np.empty((xs.shape[0],) + h0.shape)
+    gates = []
+    h = h0
+    for t, x in enumerate(xs):
+        h, g = ref_gru_step(p, x, h)
+        gates.append(g)
+        hs[t] = h
+    return hs, gates
+
+
+def ref_gru_backward(p, xs, h0, hs, gates, dhs, g):
+    """Per-gate backprop through time of one layer (reference): adds the
+    parameter gradients into g, returns (dxs, dh0)."""
+    dxs = np.zeros_like(xs)
+    dh_next = np.zeros_like(dhs[0])
+    for t in reversed(range(xs.shape[0])):
+        dh = dhs[t] + dh_next
+        x = xs[t]
+        h_prev = hs[t - 1] if t else h0
+        r, z, n, hn = gates[t]
+        dz = dh * (h_prev - n) * z * (1.0 - z)
+        dn = dh * (1.0 - z) * (1.0 - n * n)
+        dh_prev = dh * z
+        g.Wn += x.T @ dn
+        g.bn += dn.sum(axis=0)
+        d_hn = dn * r
+        g.Un += h_prev.T @ d_hn
+        dh_prev += d_hn @ p.Un.T
+        dr = dn * hn * r * (1.0 - r)
+        g.Wr += x.T @ dr
+        g.br += dr.sum(axis=0)
+        g.Ur += h_prev.T @ dr
+        dh_prev += dr @ p.Ur.T
+        g.Wz += x.T @ dz
+        g.bz += dz.sum(axis=0)
+        g.Uz += h_prev.T @ dz
+        dh_prev += dz @ p.Uz.T
+        dxs[t] = dn @ p.Wn.T + dr @ p.Wr.T + dz @ p.Wz.T
+        dh_next = dh_prev
+    return dxs, dh_next
+
+
+def fused_run(params, xs, h0, dhs, want_dx):
+    """The encoder's two directions as one stack, forward and backward:
+    (hs, loss sum(dhs * hs), gradient arrays by name, dxs, dh0)."""
+    grads = zero_params(params.config)
+    layers = (params.enc_fwd, params.enc_bwd)
+    h, tape = _gru_forward(layers, xs, h0)
+    np.testing.assert_array_equal(h, tape.hs[:, -1])
+    dxs, dh0 = _gru_backward(layers, tape, dhs, want_dx, (grads.enc_fwd, grads.enc_bwd))
+    return tape.hs, float((dhs * tape.hs).sum()), grads.arrays(), dxs, dh0
+
+
+def assert_close(actual, expected, rel=1e-12):
+    """Agree within rel of the largest magnitude in expected."""
+    assert actual.shape == expected.shape
+    assert np.abs(actual - expected).max() <= rel * np.abs(expected).max()
 
 
 TINY = ModelConfig(input_dim=3, hidden_dim=4, embed_dim=5, max_decode_len=6)
@@ -198,6 +271,59 @@ class TestDecodeStep:
         expected = np.exp(logits) / np.exp(logits).sum()
         np.testing.assert_allclose(probs[0], expected, atol=1e-12)
         assert probs[0, 2] > 0.999
+
+
+class TestFusedCell:
+    """The stacked, gate-fused cell against the per-gate reference."""
+
+    @staticmethod
+    def case(T, B, D, H, seed=0):
+        rng = np.random.default_rng(seed)
+        params = init_params(ModelConfig(input_dim=D, hidden_dim=H, embed_dim=4), seed)
+        xs = rng.normal(size=(T, B, D))
+        h0 = rng.uniform(-0.9, 0.9, size=(2, B, H))
+        dhs = rng.normal(size=(2, T, B, H))
+        return params, xs, h0, dhs
+
+    @pytest.mark.parametrize("want_dx", [True, False])
+    @pytest.mark.parametrize("shape", [(120, 32, 10, 16), (7, 5, 77, 64)],
+                             ids=["fit_small", "paper"])
+    def test_matches_per_gate_reference(self, shape, want_dx):
+        params, xs, h0, dhs = self.case(*shape)
+        hs, loss, grads, dxs, dh0 = fused_run(params, xs, h0, dhs, want_dx)
+        ref_grads = zero_params(params.config)
+        ref_loss = 0.0
+        # layer 1 of the stack reads the input back to front
+        for s, (name, seq) in enumerate((("enc_fwd", xs), ("enc_bwd", xs[::-1]))):
+            p, g = getattr(params, name), getattr(ref_grads, name)
+            ref_hs, gates = ref_gru_forward(p, seq, h0[s])
+            ref_dxs, ref_dh0 = ref_gru_backward(p, seq, h0[s], ref_hs, gates, dhs[s], g)
+            assert_close(hs[s], ref_hs)
+            assert_close(dh0[s], ref_dh0)
+            if want_dx:
+                assert_close(dxs[s], ref_dxs)
+            ref_loss += float((dhs[s] * ref_hs).sum())
+        assert (dxs is None) == (not want_dx)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        for name, ref in ref_grads.arrays().items():
+            assert_close(grads[name], ref)
+
+    @pytest.mark.parametrize("shape", [(120, 32, 10, 16), (7, 5, 77, 64)],
+                             ids=["fit_small", "paper"])
+    def test_stacked_directions_equal_each_direction_alone(self, shape):
+        params, xs, h0, dhs = self.case(*shape, seed=1)
+        hs, _, grads, dxs, dh0 = fused_run(params, xs, h0, dhs, True)
+        for s, (name, seq) in enumerate((("enc_fwd", xs), ("enc_bwd", xs[::-1].copy()))):
+            layer, alone = getattr(params, name), zero_params(params.config)
+            h, tape = _gru_forward([layer], seq, h0[s : s + 1])
+            alone_dxs, alone_dh0 = _gru_backward([layer], tape, dhs[s : s + 1], True,
+                                                 [getattr(alone, name)])
+            assert hs[s].tobytes() == tape.hs[0].tobytes()
+            assert dxs[s].tobytes() == alone_dxs[0].tobytes()
+            assert dh0[s].tobytes() == alone_dh0[0].tobytes()
+            for key, arr in alone.arrays().items():
+                if key.startswith(name + "."):
+                    assert arr.tobytes() == grads[key].tobytes(), key
 
 
 class TestSequenceLoss:
@@ -367,6 +493,26 @@ class TestTrainMember:
         with pytest.raises(TrainingError, match="diverged"):
             train_member(fold, data, TINY_TRAIN, TrainConfig(batch_size=8))
 
+
+    def test_non_finite_gradient_aborts(self, monkeypatch):
+        import primcount.model as model_mod
+
+        data = tiny_dataset()
+        fold = DatasetSplit(frozenset({"s00", "s01", "s02"}), frozenset({"s03"}))
+        original = model_mod._batch_forward_backward
+        calls = []
+
+        def nan_gradient(params, X, targets, want_grads=True):
+            loss, grads = original(params, X, targets, want_grads)
+            calls.append(loss)
+            if len(calls) == 2:  # finite loss, one NaN gradient entry
+                grads["dec.Wn"][0, 0] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(model_mod, "_batch_forward_backward", nan_gradient)
+        with pytest.raises(TrainingError, match="epoch 1: non-finite gradient"):
+            train_member(fold, data, TINY_TRAIN, TrainConfig(batch_size=8, seed=2))
+        assert len(calls) == 2 and math.isfinite(calls[-1])
 
 class TestTrainEnsemble:
     def test_members_independent_of_order(self):
@@ -580,6 +726,16 @@ class TestPersistence:
         with pytest.raises(DataError):
             load_member(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_array_rejected(self, tmp_path, value):
+        path, doc = self._saved_doc(tmp_path)
+        params = init_params(TINY, 2)
+        params.dec.Un[1, 2] = value
+        doc["arrays"]["dec.Un"] = _encode_array(params.dec.Un)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=r"m\.bin: array dec\.Un holds non-finite"):
+            load_member(path)
+
     def test_normalization_width_must_match_input_dim(self, tmp_path):
         path, doc = self._saved_doc(tmp_path)
         doc["normalization"]["mean"] = [0.0] * 4
@@ -596,6 +752,11 @@ class TestModelConfig:
         assert ModelConfig().vocab_size == 7
         assert ModelConfig().max_decode_len == 17
 
+    @pytest.mark.parametrize("field", ["input_dim", "hidden_dim", "embed_dim", "max_decode_len"])
+    def test_bool_dimension_rejected(self, field):
+        with pytest.raises(DataError, match=f"model {field} must be an integer"):
+            ModelConfig(**{field: True})
+
     def test_json_round_trip(self):
         cfg = ModelConfig(input_dim=12, hidden_dim=32, embed_dim=8)
         assert ModelConfig.from_json(cfg.to_json()) == cfg
@@ -608,3 +769,10 @@ class TestModelConfig:
         for key, value in [("cell_type", "lstm"), ("attention", True)]:
             with pytest.raises(DataError, match=key):
                 ModelConfig.from_json({**doc, key: value})
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("rate", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+    def test_learning_rate_must_be_positive_and_finite(self, rate):
+        with pytest.raises(DataError, match="learning rate"):
+            TrainConfig(learning_rate=rate)
