@@ -586,7 +586,7 @@ def stream_replay(
     sequence is identical to batch mode. Lag is emit time minus the
     wall-clock time the window's core ended.
     """
-    if speed <= 0:
+    if not speed > 0:  # also true for nan
         raise DataError("speed must be positive")
     if spec is None:
         spec = WindowSpec(sample_rate_hz=recording.sample_rate_hz)

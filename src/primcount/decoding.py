@@ -14,9 +14,10 @@ import numpy as np
 
 from .dataset import CLASSES, DataError, PrimitiveClass
 from .model import (
-    EOS_TOKEN, SOS_TOKEN, EnsembleModel, _encode_context, _fork_map, decode_step_batch,
+    EOS_TOKEN, SOS_TOKEN, EnsembleModel, ModelParams, _encode_context, _fork_map,
+    decode_step_batch,
 )
-from .preprocess import TargetSequence, Window, normalize_frames
+from .preprocess import NormalizationStats, TargetSequence, Window, normalize_frames
 
 
 @dataclass(frozen=True)
@@ -83,27 +84,52 @@ def from_target(window: Window, target: TargetSequence) -> WindowPrediction:
                             tuple(target.tokens))
 
 
+def _normalized_stack(windows: list[Window], stats: NormalizationStats) -> np.ndarray:
+    """Time-major (T, B, D) float32 stack of the windows, each normalized
+    in float64 and rounded to float32 once."""
+    T, D = windows[0].frames.shape
+    xs = np.empty((T, len(windows), D), dtype=np.float32)
+    for b, w in enumerate(windows):
+        if w.frames.shape != (T, D):
+            raise DataError(
+                f"{w.recording_id}: window frames have shape {w.frames.shape}, "
+                f"the first window's have {(T, D)}"
+            )
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            xs[:, b] = normalize_frames(w.frames, stats)
+        if not np.isfinite(xs[:, b]).all():
+            raise DataError(
+                f"{w.recording_id}: the window at frame {w.start_frame} "
+                "normalizes beyond the float32 range"
+            )
+    return xs
+
+
 def decode_windows(
     ensemble: EnsembleModel, windows: list[Window]
 ) -> list[WindowPrediction]:
-    """Greedy ensemble decoding of many windows at once.
+    """Greedy ensemble decoding of many windows at once, in float32.
 
-    Every member normalizes the windows with its own stats and encodes
-    them independently, each in a forked worker process (`_fork_map`;
-    one member encodes in this process); at each step the members'
-    token distributions are averaged, the argmax (lowest code on ties,
-    SOS excluded) is the shared prediction, EOS stops a window, and the
-    shared token feeds back into every member's decoder. An encoding
+    Each member's parameters are cast to float32 once per call. Every
+    member normalizes the windows with its own stats (in float64, then
+    rounded to float32) and encodes them independently, each in a forked
+    worker process (`_fork_map`; one member encodes in this process); at
+    each step the members' token distributions are averaged, the argmax
+    (lowest code on ties, SOS excluded) is the shared prediction, EOS
+    stops a window, and the shared token feeds back into every member's
+    decoder. Windows of different shapes, or frames whose z-scores
+    overflow float32, raise DataError naming the recording. An encoding
     worker that dies, killed for memory say, raises ChildProcessError.
     """
     if not windows:
         return []
     B = len(windows)
     max_tokens = ensemble.config.max_decode_len - 1
-    raw = np.stack([w.frames for w in windows], axis=1)  # (T, B, D)
+    members = [(ModelParams(ensemble.config, params.vector.astype(np.float32)), stats)
+               for params, stats in ensemble.members]
     states = _fork_map(
-        lambda params, stats: _encode_context(params, normalize_frames(raw, stats)),
-        ensemble.members,
+        lambda params, stats: _encode_context(params, _normalized_stack(windows, stats)),
+        members,
         died=ChildProcessError,
     )
 
@@ -113,7 +139,7 @@ def decode_windows(
     lengths = np.zeros(B, dtype=np.int64)
     for _ in range(ensemble.config.max_decode_len):
         avg = None
-        for i, (params, _) in enumerate(ensemble.members):
+        for i, (params, _) in enumerate(members):
             probs, states[i] = decode_step_batch(params, states[i], prev)
             avg = probs if avg is None else avg + probs
         avg /= len(ensemble.members)

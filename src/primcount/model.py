@@ -2,9 +2,11 @@
 
 A bidirectional gated recurrent encoder compresses one window into a
 single context vector; a unidirectional gated recurrent decoder expands
-that vector into a primitive token sequence. Everything is float64 and
+that vector into a primitive token sequence. Training is float64 and
 hand-differentiated, which keeps the model small, deterministic, and
-checkable against finite differences.
+checkable against finite differences; model files hold float64 too.
+Inference runs the same code on a float32 copy of the parameters: the
+encoder and decoder compute in the dtype they are given.
 
 Vocabulary: the 5 primitive classes (codes 0..4) plus SOS=5 and EOS=6.
 """
@@ -18,6 +20,7 @@ import multiprocessing
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -125,17 +128,14 @@ def _layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
     ]
 
 
-class GRUParams:
-    """Views of one gated recurrent layer's arrays (Wr, Ur, br, ...)."""
-
-
 class ModelParams:
-    """Every parameter in one flat float64 vector.
+    """Every parameter in one flat vector, float64 unless given another.
 
     Each array of the layout is a view into the vector: ``ctx_W``,
     ``embed``, ... directly, and the recurrent layers as ``enc_fwd.Wr``,
-    ``dec.bn``, ... Writing to a view writes to the vector. ``vector``
-    (zeros when omitted) becomes the storage itself, not a copy of it.
+    ``dec.bn``, ... (a namespace of views per layer). Writing to a view
+    writes to the vector. ``vector`` (float64 zeros when omitted) becomes
+    the storage itself, not a copy of it.
     """
 
     def __init__(self, config: ModelConfig, vector: np.ndarray | None = None):
@@ -151,7 +151,7 @@ class ModelParams:
             offset += size
             self._arrays[name] = view
             layer, _, field = name.rpartition(".")
-            owner = vars(self).setdefault(layer, GRUParams()) if layer else self
+            owner = vars(self).setdefault(layer, SimpleNamespace()) if layer else self
             setattr(owner, field, view)
 
     def arrays(self) -> dict[str, np.ndarray]:
@@ -259,7 +259,8 @@ def _gru_forward(layers, xs: np.ndarray, h0: np.ndarray, keep_tape: bool = True)
 
 def _gru_backward(layers, tape: _GRUTape, dhs: np.ndarray, want_dx: bool, grads):
     """Backprop through time. dhs (S, T, B, H): upstream gradient on every
-    state. Adds the parameter gradients into grads, one GRUParams per layer.
+    state. Adds the parameter gradients into grads, one namespace of views
+    per layer.
 
     Returns (dxs or None, dh0): dxs (S, T, B, D) holds the gradient on the
     input each layer read at each step, dh0 (S, B, H) the one on h0.
@@ -330,10 +331,10 @@ def _encode_batch(params: ModelParams, X: np.ndarray):
 
 
 def _encode_context(params: ModelParams, xs: np.ndarray) -> np.ndarray:
-    """xs: (T, B, D), time-major -> context (B, H); keeps only the running
-    states."""
+    """xs: (T, B, D), time-major -> context (B, H) in the dtype of xs;
+    keeps only the running states."""
     _check_channels(params, xs)
-    h0 = np.zeros((2, xs.shape[1], params.config.hidden_dim))
+    h0 = np.zeros((2, xs.shape[1], params.config.hidden_dim), dtype=xs.dtype)
     h, _ = _gru_forward((params.enc_fwd, params.enc_bwd), xs, h0, keep_tape=False)
     return _context(params, h)[1]
 

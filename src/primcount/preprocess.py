@@ -104,6 +104,8 @@ class NormalizationStats:
         self.std = np.asarray(self.std, dtype=np.float64)
         if self.mean.shape != self.std.shape or self.mean.ndim != 1:
             raise DataError("mean/std must be matching 1-D vectors")
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.std).all()):
+            raise DataError("mean/std must be finite")
         if np.any(self.std <= 0):
             raise DataError("std must be positive")
 

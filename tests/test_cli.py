@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primcount.cli import (
     ConfigError,
@@ -16,9 +18,10 @@ from primcount.cli import (
     predict_sessions,
     stream_replay,
 )
-from primcount.dataset import DataError, load_dataset
-from primcount.decoding import count
-from primcount.model import load_ensemble
+from primcount.dataset import DataError, IMURecording, load_dataset
+from primcount.decoding import count, decode_windows, stitch_windows
+from primcount.model import EnsembleModel, ModelConfig, ModelParams, init_params, load_ensemble
+from primcount.preprocess import NormalizationStats, WindowSpec, make_windows
 
 
 def mini_config(tmp_path, name="cfg.json", **extra):
@@ -342,6 +345,18 @@ def test_unreadable_model_file_exits_1(pipeline, tmp_path, capsys):
     assert "not a model file" in capsys.readouterr().err
 
 
+def test_non_finite_normalization_in_model_file_exits_1(pipeline, tmp_path, capsys):
+    tmp, cfg_path = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(tmp / "out", out)
+    doc = json.loads((out / "model.1.bin").read_text())
+    doc["normalization"]["std"][0] = math.nan
+    doc["normalization"]["mean"][1] = math.inf
+    (out / "model.1.bin").write_text(json.dumps(doc))
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "mean/std must be finite" in capsys.readouterr().err
+
+
 def test_killed_encoding_worker_exits_1(pipeline, tmp_path, monkeypatch, capsys):
     import os
     import signal
@@ -443,6 +458,34 @@ def test_stream_matches_batch(pipeline):
         assert len(result.events) == len(result.lags_s)
 
 
+# a tiny two-member ensemble with weights large enough to vary its tokens
+_PROPERTY_CFG = ModelConfig(input_dim=3, hidden_dim=4, embed_dim=3, max_decode_len=5)
+_PROPERTY_ENSEMBLE = EnsembleModel(_PROPERTY_CFG, [
+    (ModelParams(_PROPERTY_CFG, 8.0 * init_params(_PROPERTY_CFG, s).vector),
+     NormalizationStats(np.full(3, 0.5), np.full(3, 2.0)))
+    for s in (0, 1)
+])
+
+
+@settings(max_examples=20, deadline=None)
+@given(rate=st.integers(1, 30), core=st.integers(1, 12), flank=st.integers(0, 5),
+       length=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
+def test_stream_equals_batch_for_any_geometry(rate, core, flank, length, seed):
+    # recordings from 1 frame up to several windows, shorter than one
+    # window included; stream decodes one window per call, batch all at once
+    spec = WindowSpec(sample_rate_hz=float(rate), window_s=(core + 2 * flank) / rate,
+                      core_s=core / rate, train_slide_s=core / rate, test_slide_s=core / rate)
+    assert (spec.core_frames, spec.flank_frames) == (core, flank)
+    frames = np.random.default_rng(seed).normal(size=(length, 3))
+    recording = IMURecording("s0", "desk", 0, float(rate), frames)
+    batch = stitch_windows(decode_windows(_PROPERTY_ENSEMBLE,
+                                          make_windows(recording, spec, mode="test")))
+    result = stream_replay(recording, _PROPERTY_ENSEMBLE, speed=math.inf, spec=spec)
+    assert result.session.tokens == batch.tokens
+    assert result.counts.counts == count(batch).counts
+    assert len(result.events) == math.ceil(length / core)
+
+
 def test_stream_command_uses_config_geometry(tmp_path):
     cfg = mini_config(tmp_path, window_s=8.0, core_s=4.0, max_epochs=1)
     for command in ["synth", "train", "predict"]:
@@ -460,8 +503,15 @@ def test_stream_replay_rejects_bad_speed(pipeline):
     cfg = load_run_config(str(cfg_path), {})
     dataset = load_dataset(cfg.data_root)
     ensemble = load_ensemble(sorted((tmp / "out").glob("model.*.bin")))
-    with pytest.raises(DataError, match="speed"):
-        stream_replay(dataset.recordings[0].recording, ensemble, speed=0.0)
+    for speed in (0.0, math.nan):
+        with pytest.raises(DataError, match="speed"):
+            stream_replay(dataset.recordings[0].recording, ensemble, speed=speed)
+
+
+def test_stream_nan_speed_exits_1(pipeline, capsys):
+    _, cfg_path = pipeline
+    assert main(["stream", "--config", str(cfg_path), "--speed", "nan"]) == 1
+    assert "error: speed must be positive" in capsys.readouterr().err
 
 
 def test_stream_replay_rejects_channel_mismatch(pipeline):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,10 @@ from primcount.model import (
     SOS_TOKEN,
     EnsembleModel,
     ModelConfig,
+    _encode_context,
+    decode_step_batch,
     init_params,
+    load_ensemble,
     zero_params,
 )
 from primcount.preprocess import (
@@ -37,6 +41,7 @@ from primcount.preprocess import (
     WindowSpec,
     derive_target_sequence,
     make_windows,
+    normalize_frames,
 )
 
 R = PrimitiveClass.REACH
@@ -56,6 +61,40 @@ def constant_member(probs5_and_special, cfg=CFG):
     params = zero_params(cfg)
     params.out_b[:] = [math.log(p) if p > 0 else -40.0 for p in probs5_and_special]
     return params, ident_stats(cfg.input_dim)
+
+
+def member_index(members, params):
+    """Index of the member whose float32 copy `params` is (decode_windows
+    encodes with copies, not with the members' own params)."""
+    return next(i for i, (p, _) in enumerate(members)
+                if np.array_equal(p.vector.astype(np.float32), params.vector))
+
+
+def ref_decode_windows_f64(ensemble, windows):
+    """Greedy ensemble decode in float64, in this process (reference):
+    the members' own params, one normalized time-major stack each."""
+    raw = np.stack([w.frames for w in windows], axis=1)  # (T, B, D)
+    states = [_encode_context(params, normalize_frames(raw, stats))
+              for params, stats in ensemble.members]
+    B = len(windows)
+    prev = np.full(B, SOS_TOKEN)
+    done = np.zeros(B, dtype=bool)
+    tokens = [[] for _ in windows]
+    for _ in range(ensemble.config.max_decode_len):
+        avg = 0.0
+        for i, (params, _) in enumerate(ensemble.members):
+            probs, states[i] = decode_step_batch(params, states[i], prev)
+            avg = avg + probs
+        avg = avg / len(ensemble.members)
+        avg[:, SOS_TOKEN] = -1.0
+        prev = np.argmax(avg, axis=1)
+        for b in range(B):
+            if done[b] or prev[b] == EOS_TOKEN:
+                done[b] = True
+            else:
+                tokens[b].append(PrimitiveClass(int(prev[b])))
+                done[b] = len(tokens[b]) >= ensemble.config.max_decode_len - 1
+    return [tuple(t) for t in tokens]
 
 
 def toy_windows(n, cfg=CFG, seed=0):
@@ -135,7 +174,7 @@ class TestDecodeWindow:
         encode = decoding_mod._encode_context
 
         def recording_encode(params, xs):
-            i = next(k for k, (p, _) in enumerate(ensemble.members) if p is params)
+            i = member_index(ensemble.members, params)
             np.save(tmp_path / f"member{i}.npy", xs)
             return encode(params, xs)
 
@@ -143,7 +182,8 @@ class TestDecodeWindow:
         decode_windows(ensemble, windows)
         raw = np.stack([w.frames for w in windows], axis=1)
         for i, (_, stats) in enumerate(ensemble.members):
-            expected = (raw - stats.mean) / stats.std
+            # normalized in float64, rounded to float32 once
+            expected = ((raw - stats.mean) / stats.std).astype(np.float32)
             assert np.load(tmp_path / f"member{i}.npy").tobytes() == expected.tobytes()
 
     def test_length_cap(self):
@@ -154,8 +194,8 @@ class TestDecodeWindow:
 
     def test_memory_bounded_by_window_frames(self):
         # paper geometry: 6 s windows at 100 Hz, 77 channels, H=64; the
-        # decode holds the stacked frames and one normalized copy, and no
-        # per-step state
+        # decode holds one float32 normalized stack (half the frames' bytes)
+        # and no per-step state
         cfg = ModelConfig(input_dim=77, hidden_dim=64, embed_dim=32)
         ensemble = EnsembleModel(cfg, [(init_params(cfg, 0), ident_stats(77))])
         rng = np.random.default_rng(0)
@@ -169,6 +209,49 @@ class TestDecodeWindow:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * frame_bytes, peak / frame_bytes
+
+    @pytest.mark.parametrize("n_members", [1, 2])
+    def test_float32_overflow_names_the_recording(self, n_members):
+        # z = 1e39 is finite in float64 and infinite in float32
+        members = [(init_params(CFG, s), ident_stats()) for s in range(n_members)]
+        windows = toy_windows(3)
+        frames = windows[1].frames.copy()
+        frames[4, 2] = 1e39
+        windows[1] = Window("rec/b/1", windows[1].start_frame, 2, 8, frames)
+        with pytest.raises(DataError, match="^rec/b/1: the window at frame 4 normalizes "
+                                            "beyond the float32 range$"):
+            decode_windows(EnsembleModel(CFG, members), windows)
+
+    @pytest.mark.parametrize("n_members", [1, 2])
+    def test_window_shape_mismatch_names_the_recording(self, n_members):
+        windows = toy_windows(2)
+        windows.append(Window("rec/b/1", 12, 2, 8, np.zeros((11, CFG.input_dim))))
+        members = [(init_params(CFG, s), ident_stats()) for s in range(n_members)]
+        ensemble = EnsembleModel(CFG, members)
+        with pytest.raises(DataError, match=r"^rec/b/1: window frames have shape \(11, 4\), "
+                                            r"the first window's have \(10, 4\)$"):
+            decode_windows(ensemble, windows)
+
+
+def test_float32_decode_matches_float64_reference_on_smoke_model(tmp_path):
+    # every test window of the smoke dataset, decoded by the smoke-trained
+    # ensemble: the float32 tokens equal the float64 reference's
+    from primcount.cli import main
+    from primcount.dataset import load_dataset
+
+    config = Path(__file__).resolve().parents[1] / "configs" / "smoke.json"
+    for command in ["synth", "train"]:
+        assert main([command, "--config", str(config), "--data", str(tmp_path / "data"),
+                     "--out", str(tmp_path / "out")]) == 0
+    ensemble = load_ensemble(sorted((tmp_path / "out").glob("model.*.bin")))
+    spec = WindowSpec(sample_rate_hz=20.0)
+    n_windows = 0
+    for labeled in load_dataset(tmp_path / "data").recordings:
+        windows = make_windows(labeled.recording, spec, mode="test")
+        assert ([p.tokens for p in decode_windows(ensemble, windows)]
+                == ref_decode_windows_f64(ensemble, windows))
+        n_windows += len(windows)
+    assert n_windows == 6 * 8
 
 
 class TestEncodingWorkers:
@@ -184,7 +267,7 @@ class TestEncodingWorkers:
         original = decoding_mod._encode_context
 
         def member_2_fails(params, xs):
-            if params is members[2][0]:
+            if member_index(members, params) == 2:
                 raise DataError("member 2 cannot encode")
             return original(params, xs)
 
@@ -204,7 +287,7 @@ class TestEncodingWorkers:
         original = decoding_mod._encode_context
 
         def member_1_killed(params, xs):
-            if params is members[1][0]:
+            if member_index(members, params) == 1:
                 os.kill(os.getpid(), signal.SIGKILL)
             return original(params, xs)
 

@@ -19,6 +19,7 @@ from primcount.model import (
     Adam,
     EnsembleModel,
     ModelConfig,
+    ModelParams,
     TrainConfig,
     TrainingData,
     TrainingError,
@@ -615,6 +616,25 @@ class TestTrainEnsemble:
             EnsembleModel(TINY, [(p1, stats), (p2, stats)])
 
 
+class TestFloat32Inference:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_encode_context_returns_the_dtype_it_was_given(self, dtype):
+        params = ModelParams(TINY, init_params(TINY, 4).vector.astype(dtype))
+        xs = np.random.default_rng(0).normal(size=(7, 2, 3)).astype(dtype)
+        assert _encode_context(params, xs).dtype == dtype
+
+    def test_paper_shape_contexts_match_float64(self):
+        # T=600, B=30, D=77, H=64; the float32 encoder stays within 1e-5
+        # of the float64 one (2.2e-7 measured)
+        cfg = ModelConfig(input_dim=77, hidden_dim=64, embed_dim=32)
+        params = init_params(cfg, 2)
+        xs = np.random.default_rng(5).normal(size=(600, 30, 77))
+        ctx64 = _encode_context(params, xs)
+        ctx32 = _encode_context(ModelParams(cfg, params.vector.astype(np.float32)),
+                                xs.astype(np.float32))
+        np.testing.assert_allclose(ctx32, ctx64, rtol=0, atol=1e-5)
+
+
 class TestForkMap:
     def test_paper_shape_contexts_bitwise_equal_in_process(self):
         cfg = ModelConfig(input_dim=77, hidden_dim=64, embed_dim=32)
@@ -734,6 +754,15 @@ class TestPersistence:
         doc["arrays"]["dec.Un"] = _encode_array(params.dec.Un)
         path.write_text(json.dumps(doc))
         with pytest.raises(DataError, match=r"m\.bin: array dec\.Un holds non-finite"):
+            load_member(path)
+
+    def test_non_finite_normalization_rejected(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["normalization"]["std"][0] = math.nan
+        doc["normalization"]["mean"][1] = math.inf
+        path.write_text(json.dumps(doc))  # written as NaN and Infinity
+        assert "NaN" in path.read_text() and "Infinity" in path.read_text()
+        with pytest.raises(DataError, match="malformed normalization.*finite"):
             load_member(path)
 
     def test_normalization_width_must_match_input_dim(self, tmp_path):

@@ -234,6 +234,14 @@ class TestNormalization:
         with pytest.raises(DataError, match="at least one recording"):
             fit_normalization([])
 
+    @pytest.mark.parametrize("field", ["mean", "std"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_stats_rejected(self, field, value):
+        vectors = {"mean": np.zeros(3), "std": np.ones(3)}
+        vectors[field][1] = value
+        with pytest.raises(DataError, match="must be finite"):
+            NormalizationStats(vectors["mean"], vectors["std"])
+
     def test_json_round_trip(self):
         stats = NormalizationStats(np.array([1.0, 2.0]), np.array([0.5, 4.0]), "fold0")
         again = NormalizationStats.from_json(stats.to_json())
