@@ -18,7 +18,7 @@ import json
 import math
 import multiprocessing
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -79,12 +79,7 @@ class ModelConfig:
         return VOCAB_SIZE
 
     def to_json(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_dim": self.hidden_dim,
-            "embed_dim": self.embed_dim,
-            "max_decode_len": self.max_decode_len,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, data: dict) -> "ModelConfig":
@@ -191,9 +186,9 @@ def zero_params(config: ModelConfig) -> ModelParams:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp of a non-positive argument never overflows
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # exp(fmin(x, 0)) is 1 for x >= 0 or NaN and exp(-|x|) below: no exp overflows, and the
+    # bits equal np.where(x >= 0, 1, exp(-|x|)) without its per-element branch on the sign
+    return np.exp(np.fmin(x, 0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def _fuse(layers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -591,13 +586,7 @@ class EpochStats:
     val_fdr: float
 
     def to_json(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_aer": self.val_aer,
-            "val_sensitivity": self.val_sensitivity,
-            "val_fdr": self.val_fdr,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -861,14 +850,21 @@ def load_member(path: str | Path) -> tuple[ModelParams, NormalizationStats]:
         doc = json.loads(Path(path).read_text())
     except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
         raise DataError(f"{path}: not a model file ({e})") from e
+    try:
+        return _member_of(doc)
+    except DataError as e:  # every content error names the file
+        raise DataError(f"{path}: {e}") from None
+
+
+def _member_of(doc) -> tuple[ModelParams, NormalizationStats]:
     if not isinstance(doc, dict):
-        raise DataError(f"{path}: not a model file (top level is not an object)")
+        raise DataError("not a model file (top level is not an object)")
     version = doc.get("format_version")
     if version != MODEL_FORMAT_VERSION:
         raise DataError(f"unsupported model format version {version!r}")
     missing = [k for k in ("model_config", "normalization", "arrays") if k not in doc]
     if missing:
-        raise DataError(f"{path}: model file lacks {missing}")
+        raise DataError(f"model file lacks {missing}")
     config = ModelConfig.from_json(doc["model_config"])
     params = zero_params(config)
     arrays = params.arrays()
@@ -878,17 +874,17 @@ def load_member(path: str | Path) -> tuple[ModelParams, NormalizationStats]:
     for name, arr in arrays.items():
         loaded = _decode_array(name, stored[name])
         if loaded.shape != arr.shape:
-            raise DataError(f"array {name} has shape {loaded.shape}, "
-                            f"expected {arr.shape}")
+            raise DataError(f"array {name} has shape {loaded.shape}, expected {arr.shape}")
         if not np.isfinite(loaded).all():
-            raise DataError(f"{path}: array {name} holds non-finite values")
+            raise DataError(f"array {name} holds non-finite values")
         arr[...] = loaded
-    stats = NormalizationStats.from_json(doc["normalization"])
+    try:
+        stats = NormalizationStats.from_json(doc["normalization"])
+    except DataError as e:
+        raise DataError(f"malformed normalization: {e}") from None
     if stats.channel_count != config.input_dim:
-        raise DataError(
-            f"{path}: normalization covers {stats.channel_count} channels, "
-            f"model input_dim is {config.input_dim}"
-        )
+        raise DataError(f"normalization covers {stats.channel_count} channels, "
+                        f"model input_dim is {config.input_dim}")
     return params, stats
 
 

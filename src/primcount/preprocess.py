@@ -123,9 +123,11 @@ class NormalizationStats:
     @classmethod
     def from_json(cls, data: dict) -> "NormalizationStats":
         try:
-            return cls(np.array(data["mean"]), np.array(data["std"]), data["source_split"])
+            mean, std = (np.asarray(data[k], dtype=np.float64) for k in ("mean", "std"))
+            source_split = data["source_split"]
         except (KeyError, TypeError, ValueError) as e:
-            raise DataError(f"malformed normalization ({e!r})") from None
+            raise DataError(f"unreadable field ({e!r})") from None
+        return cls(mean, std, source_split)  # its own DataError names the reason
 
 
 def fit_normalization(

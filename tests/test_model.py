@@ -1,10 +1,12 @@
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
 
+import primcount.model
 from primcount.dataset import (
     DataError,
     DatasetSplit,
@@ -91,6 +93,12 @@ def encode_one(params, frames):
     ctx = _encode_context(params, frames[:, None])  # time-major
     np.testing.assert_array_equal(ctx, _encode_batch(params, frames[None])[0])
     return ctx[0]
+
+
+def ref_sigmoid(x):
+    """The logistic with a per-element np.where on the sign (reference)."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def ref_gru_step(p, x, h):
@@ -214,6 +222,63 @@ class TestSigmoid:
         np.testing.assert_array_equal(_sigmoid(x), reference)
         np.testing.assert_array_equal(_sigmoid(x[x >= 0]), positive[x >= 0])
         np.testing.assert_array_equal(_sigmoid(x[x < 0]), negative[x < 0])
+
+
+class TestBranchFreeSigmoid:
+    """_sigmoid keeps the bits of ref_sigmoid, NaN signs included, so no
+    context, token, loss or gradient moves."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bitwise_equal_to_where_form(self, dtype):
+        rng = np.random.default_rng(1)
+        band = np.linspace(87.0, 104.0, 2001)  # where float32 exp(-|x|) underflows
+        edges = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+                 1e-45, -1e-45, 800.0, -800.0]
+        x = np.concatenate([rng.normal(scale=10.0, size=10_000), edges,
+                            band, -band]).astype(dtype)
+        with np.errstate(invalid="ignore"):
+            got, want = _sigmoid(x), ref_sigmoid(x)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_float32_in_float32_out(self):
+        x = np.random.default_rng(2).normal(size=(2, 30, 128)).astype(np.float32)
+        assert _sigmoid(x).dtype == np.float32
+
+    @staticmethod
+    def _patch_reference(monkeypatch):
+        calls = []
+
+        def counted(x):
+            calls.append(x.shape)
+            return ref_sigmoid(x)
+
+        monkeypatch.setattr(primcount.model, "_sigmoid", counted)
+        return calls
+
+    def test_paper_shape_float32_contexts_bitwise_equal(self, monkeypatch):
+        cfg = ModelConfig(input_dim=77, hidden_dim=64, embed_dim=32)
+        params = ModelParams(cfg, init_params(cfg, 2).vector.astype(np.float32))
+        xs = np.random.default_rng(5).normal(size=(600, 30, 77)).astype(np.float32)
+        ctx = _encode_context(params, xs)
+        calls = self._patch_reference(monkeypatch)
+        assert ctx.tobytes() == _encode_context(params, xs).tobytes()
+        assert len(calls) == 600
+
+    def test_fit_small_shape_loss_and_gradients_bitwise_equal(self, monkeypatch):
+        cfg = ModelConfig(input_dim=10, hidden_dim=16, embed_dim=16)
+        params = init_params(cfg, 3)
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(32, 120, 10))
+        targets = [rng.integers(0, 5, size=rng.integers(1, 10)) for _ in range(32)]
+        loss, grads = _batch_forward_backward(params, X, targets)
+        calls = self._patch_reference(monkeypatch)
+        ref_loss, ref_grads = _batch_forward_backward(params, X, targets)
+        assert calls
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert list(grads) == list(ref_grads)
+        for name, grad in grads.items():
+            assert grad.tobytes() == ref_grads[name].tobytes(), name
 
 
 class TestEncode:
@@ -743,7 +808,7 @@ class TestPersistence:
         elif case == "hidden_dim_string":
             doc["model_config"]["hidden_dim"] = "4"
         path.write_text(json.dumps(doc))
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^" + re.escape(f"{path}: ")):
             load_member(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -763,6 +828,42 @@ class TestPersistence:
         path.write_text(json.dumps(doc))  # written as NaN and Infinity
         assert "NaN" in path.read_text() and "Infinity" in path.read_text()
         with pytest.raises(DataError, match="malformed normalization.*finite"):
+            load_member(path)
+
+    @pytest.mark.parametrize("std, reason", [
+        (math.nan, "mean/std must be finite"), (0.0, "std must be positive"),
+    ])
+    def test_bad_normalization_names_the_file_and_reason(self, tmp_path, std, reason):
+        path, doc = self._saved_doc(tmp_path)
+        doc["normalization"]["std"][0] = std
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError) as raised:
+            load_member(path)
+        assert str(raised.value) == f"{path}: malformed normalization: {reason}"
+        assert "DataError(" not in str(raised.value)
+
+    def test_version_error_names_the_file(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["format_version"] = 99
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError,
+                           match=re.escape(f"{path}: unsupported model format version 99")):
+            load_member(path)
+
+    def test_array_set_error_names_the_file(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        del doc["arrays"]["out_b"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: model file arrays do not match the architecture")):
+            load_member(path)
+
+    def test_array_shape_error_names_the_file(self, tmp_path):
+        path, doc = self._saved_doc(tmp_path)
+        doc["arrays"]["out_b"] = _encode_array(np.zeros(8))
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError, match=re.escape(
+                f"{path}: array out_b has shape (8,), expected (7,)")):
             load_member(path)
 
     def test_normalization_width_must_match_input_dim(self, tmp_path):

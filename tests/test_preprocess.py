@@ -242,6 +242,16 @@ class TestNormalization:
         with pytest.raises(DataError, match="must be finite"):
             NormalizationStats(vectors["mean"], vectors["std"])
 
+    @pytest.mark.parametrize("std, reason", [
+        (math.nan, "mean/std must be finite"), (0.0, "std must be positive"),
+    ])
+    def test_from_json_raises_the_stats_own_error(self, std, reason):
+        doc = NormalizationStats(np.zeros(2), np.ones(2)).to_json()
+        doc["std"][1] = std
+        with pytest.raises(DataError) as raised:
+            NormalizationStats.from_json(doc)
+        assert str(raised.value) == reason
+
     def test_json_round_trip(self):
         stats = NormalizationStats(np.array([1.0, 2.0]), np.array([0.5, 4.0]), "fold0")
         again = NormalizationStats.from_json(stats.to_json())
