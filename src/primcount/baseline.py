@@ -9,14 +9,13 @@ model, so the two routes are directly comparable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import N_CLASSES, DataError, IMURecording, PrimitiveClass
 from .decoding import WindowPrediction
-from .model import Adam, TrainingError
+from .model import Adam, TrainingError, _softmax
 from .preprocess import Window
 
 STAT_NAMES = ("mean", "maximum", "minimum", "std", "rms")
@@ -108,38 +107,15 @@ def extract_feature_matrix(recording, context_frames: int = 100) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def bessel_i0(x: float) -> float:
-    """Zeroth-order modified Bessel function via its power series.
-
-    Terms are (x^2/4)^k / (k!)^2; summation stops when a term drops
-    below 1e-16 of the running total.
-    """
-    total = 1.0
-    term = 1.0
-    q = x * x / 4.0
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * k)
-        total += term
-        if term < 1e-16 * total:
-            return total
-
-
 def kaiser_weights(window_length: int, beta: float) -> np.ndarray:
     """Normalized Kaiser window of odd length."""
     if window_length < 1 or window_length % 2 == 0:
         raise DataError(f"window length must be odd and positive, got {window_length}")
-    if beta < 0:
-        raise DataError("beta must be non-negative")
+    if not 0 <= beta < np.inf:  # also false for nan
+        raise DataError(f"beta must be finite and non-negative, got {beta}")
     if window_length == 1:
         return np.array([1.0])
-    half = (window_length - 1) / 2.0
-    # centered form keeps mirrored taps bitwise equal
-    u = (np.arange(window_length) - half) / half
-    denom = bessel_i0(beta)
-    w = np.array([bessel_i0(beta * math.sqrt(max(0.0, 1.0 - ui * ui))) for ui in u])
-    w /= denom
+    w = np.kaiser(window_length, beta)
     return w / w.sum()
 
 
@@ -268,10 +244,7 @@ class LogisticPointwise:
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         z = (features - self.feature_mean) / self.feature_std
-        logits = z @ self.W + self.b
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=1, keepdims=True)
+        return _softmax(z @ self.W + self.b)
 
     def track(self, recording: IMURecording) -> PointwiseTrack:
         features = extract_feature_matrix(recording, self.context_frames)
@@ -318,10 +291,7 @@ def train_pointwise(
         for lo in range(0, n, config.batch_size):
             idx = order[lo : lo + config.batch_size]
             zb = z[idx]
-            logits = zb @ W + b
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            e = np.exp(shifted)
-            probs = e / e.sum(axis=1, keepdims=True)
+            probs = _softmax(zb @ W + b)
             if not np.isfinite(probs).all():
                 raise TrainingError(f"pointwise training diverged at epoch {epoch}")
             d = (probs - onehot_rows[idx]) / len(idx)

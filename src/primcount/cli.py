@@ -2,9 +2,9 @@
 
 Subcommands cover the full workflow: synthesize a dataset, train the
 fold ensemble, predict stitched sequences, count primitives, evaluate
-against labels, benchmark throughput, and replay a recording on a
-real-time clock. Every non-timing output is a pure function of
-(config, seed, data), so reruns are byte-identical.
+against labels, and replay a recording on a real-time clock. Every
+non-timing output is a pure function of (config, seed, data), so reruns
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .dataset import (
     PrimitiveClass,
     SynthSpec,
     SyntheticDataset,
+    _read_json,
     _stream_rng,
     load_dataset,
     save_dataset,
@@ -229,10 +230,26 @@ def _require_dataset(cfg: RunConfig) -> SyntheticDataset:
 
 
 def _model_paths(out_dir: Path) -> list[Path]:
-    paths = sorted(out_dir.glob("model.*.bin"), key=lambda p: int(p.name.split(".")[1]))
-    if not paths:
+    members = {}
+    for path in out_dir.glob("model.*.bin"):
+        index = path.name[len("model.") : -len(".bin")]
+        if not index.isdecimal():
+            raise DataError(f"{path}: not a model file name (expected model.<member>.bin)")
+        members[path] = int(index)
+    if not members:
         raise DataError(f"no model files under {out_dir}")
-    return paths
+    return sorted(members, key=members.get)
+
+
+def _read_split(out_dir: Path) -> dict:
+    """The subject split that train wrote: pool and test subject lists."""
+    path = out_dir / "split.json"
+    split = _read_json(path)
+    for key in ("pool_subjects", "test_subjects"):
+        if not (isinstance(split, dict) and isinstance(split.get(key), list)
+                and all(isinstance(s, str) for s in split[key])):
+            raise DataError(f'{path}: expected a "{key}" list of subject ids')
+    return split
 
 
 def _record_timing(out_dir: Path, stage: str, seconds: float) -> None:
@@ -361,8 +378,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     dataset = _require_dataset(cfg)
     out_dir = Path(cfg.out_dir)
     ensemble = load_ensemble(_model_paths(out_dir))
-    split = json.loads((out_dir / "split.json").read_text())
-    test_recordings = _by_subject(dataset.recordings, split["test_subjects"])
+    test_recordings = _by_subject(dataset.recordings, _read_split(out_dir)["test_subjects"])
     if not test_recordings:
         raise DataError("no recordings for held-out subjects")
     t0 = time.perf_counter()
@@ -483,7 +499,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
                 writer.writerow(_metric_row(name, gm))
 
     _, counting = _count_rows(pairs)
-    split = json.loads((out_dir / "split.json").read_text())
+    split = _read_split(out_dir)
     baseline = None
     if cfg.with_baseline:
         test_recordings = [labeled for _, labeled in pairs]
@@ -515,42 +531,6 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     print(
         f"sensitivity {overall.sensitivity:.3f}  fdr {overall.fdr:.3f}  "
         f"f1 {overall.f1:.3f}  aer {overall.aer:.3f} -> {out_dir / 'report.json'}"
-    )
-    return 0
-
-
-def cmd_bench(cfg: RunConfig, args) -> int:
-    out_dir = Path(cfg.out_dir)
-    recordings = _require_dataset(cfg).recordings
-    ensemble = load_ensemble(_model_paths(out_dir))
-    spec = cfg.window_spec()
-    stages = {"window": 0.0, "decode": 0.0, "stitch_count": 0.0}
-    processed_s = 0.0
-    for labeled in recordings:
-        rec = labeled.recording
-        processed_s += rec.n_frames / rec.sample_rate_hz
-        t0 = time.perf_counter()
-        windows = make_windows(rec, spec, mode="test")
-        t1 = time.perf_counter()
-        preds = decode_windows(ensemble, windows)
-        t2 = time.perf_counter()
-        count(stitch_windows(preds))
-        t3 = time.perf_counter()
-        stages["window"] += t1 - t0
-        stages["decode"] += t2 - t1
-        stages["stitch_count"] += t3 - t2
-    total = sum(stages.values())
-    report = {
-        "n_recordings": len(recordings),
-        "processed_duration_s": processed_s,
-        "total_compute_s": total,
-        "seconds_per_minute": total / (processed_s / 60.0),
-        "stages": stages,
-    }
-    _write_json(out_dir / "bench.json", report)
-    print(
-        f"{report['n_recordings']} recordings, {processed_s:.0f} s of data, "
-        f"{report['seconds_per_minute']:.2f} s compute per minute"
     )
     return 0
 
@@ -640,9 +620,8 @@ def cmd_stream(cfg: RunConfig, args) -> int:
             raise DataError(f"recording not found: {args.recording}")
         target = by_id[args.recording]
     else:
-        split_path = out_dir / "split.json"
-        if split_path.is_file():
-            test_subjects = json.loads(split_path.read_text())["test_subjects"]
+        if (out_dir / "split.json").is_file():
+            test_subjects = _read_split(out_dir)["test_subjects"]
             candidates = _by_subject(dataset.recordings, test_subjects)
         else:
             candidates = dataset.recordings
@@ -703,7 +682,6 @@ COMMANDS = {
     "predict": cmd_predict,
     "count": cmd_count,
     "eval": cmd_eval,
-    "bench": cmd_bench,
     "stream": cmd_stream,
 }
 

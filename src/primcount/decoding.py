@@ -59,7 +59,6 @@ class PrimitiveCounts:
     """Per-class primitive totals for one recording."""
 
     counts: dict[PrimitiveClass, int]
-    activity: str | None = None
 
     def __post_init__(self):
         full = {c: int(self.counts.get(c, 0)) for c in CLASSES}
@@ -194,12 +193,12 @@ def stitch_windows(predictions: list[WindowPrediction]) -> SessionPrediction:
     return SessionPrediction(predictions[0].recording_id, tuple(stitched))
 
 
-def count(session: SessionPrediction, activity: str | None = None) -> PrimitiveCounts:
+def count(session: SessionPrediction) -> PrimitiveCounts:
     """Per-class token totals of a stitched sequence."""
     counts = {c: 0 for c in CLASSES}
     for t in session.tokens:
         counts[t] += 1
-    return PrimitiveCounts(counts, activity)
+    return PrimitiveCounts(counts)
 
 
 @dataclass(frozen=True)

@@ -888,14 +888,12 @@ def _member_of(doc) -> tuple[ModelParams, NormalizationStats]:
     return params, stats
 
 
-def save_ensemble(
-    directory: str | Path, ensemble: EnsembleModel, stem: str = "model"
-) -> list[Path]:
+def save_ensemble(directory: str | Path, ensemble: EnsembleModel) -> list[Path]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for i, (params, stats) in enumerate(ensemble.members):
-        path = directory / f"{stem}.{i}.bin"
+        path = directory / f"model.{i}.bin"
         save_member(path, params, stats)
         paths.append(path)
     return paths

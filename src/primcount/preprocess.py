@@ -10,6 +10,7 @@ flanks only provide context.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +63,7 @@ def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def sensor_centric_transform(
-    recording: IMURecording,
-    manifest: ChannelManifest,
-    reference_policy: str = "first_frame",
+    recording: IMURecording, manifest: ChannelManifest
 ) -> IMURecording:
     """Re-express every quaternion stream relative to a reference pose.
 
@@ -72,8 +71,6 @@ def sensor_centric_transform(
     q_ref the sensor's quaternion at the first frame. Non-quaternion
     channels pass through untouched.
     """
-    if reference_policy != "first_frame":
-        raise DataError(f"unknown reference policy {reference_policy!r}")
     recording.validate_against(manifest)
     groups = manifest.quaternion_groups()
     if not groups:
@@ -172,7 +169,8 @@ def apply_normalization(
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Window geometry. All durations must be whole frame counts."""
+    """Window geometry. All durations must be whole frame counts, and the
+    test slide equals the core so that test cores tile a recording."""
 
     sample_rate_hz: float
     window_s: float = 6.0
@@ -181,18 +179,23 @@ class WindowSpec:
     test_slide_s: float = 4.0
 
     def __post_init__(self):
-        if self.sample_rate_hz <= 0:
-            raise DataError("sample rate must be positive")
+        if not 0 < self.sample_rate_hz <= sys.float_info.max:  # NaN fails too
+            raise DataError(f"sample rate must be finite and positive, got {self.sample_rate_hz}")
         if self.core_s > self.window_s:
             raise DataError("core cannot exceed window")
         for name in ("window_s", "core_s", "train_slide_s", "test_slide_s"):
-            self._frames(getattr(self, name), name)
+            if self._frames(getattr(self, name), name) < 1:
+                raise DataError(f"{name} = {getattr(self, name)} s is shorter than one frame")
+        if self.test_slide_frames != self.core_frames:
+            raise DataError(
+                f"test_slide_s = {self.test_slide_s} s must equal core_s = {self.core_s} s"
+            )
         # flanks must split evenly
         self._frames((self.window_s - self.core_s) / 2.0, "flank")
 
     def _frames(self, seconds: float, name: str) -> int:
         frames = seconds * self.sample_rate_hz
-        rounded = round(frames)
+        rounded = round(frames) if math.isfinite(frames) else -1  # nan, inf: no count
         if abs(frames - rounded) > 1e-9 or rounded < 0:
             raise DataError(
                 f"{name} = {seconds} s is not a whole frame count "

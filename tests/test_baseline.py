@@ -9,7 +9,6 @@ from primcount.baseline import (
     LogisticPointwise,
     PointwiseTrack,
     PointwiseTrainConfig,
-    bessel_i0,
     collapse,
     collapse_windows,
     extract_feature_matrix,
@@ -160,17 +159,6 @@ def test_feature_matrix_matches_per_frame(context):
 # ---------------------------------------------------------------------------
 
 
-def test_bessel_i0_against_series_reference():
-    for x in [0.0, 0.5, 1.0, 4.0, 8.5]:
-        assert bessel_i0(x) == pytest.approx(reference_i0(x), rel=1e-14)
-
-
-def test_bessel_i0_against_numpy():
-    xs = np.linspace(0.0, 12.0, 25)
-    ours = np.array([bessel_i0(x) for x in xs])
-    np.testing.assert_allclose(ours, np.i0(xs), rtol=1e-12)
-
-
 def test_kaiser_weights_reference_beta4():
     w = kaiser_weights(7, 4.0)
     ref = np.array(
@@ -217,6 +205,12 @@ def test_kaiser_weights_validation():
     with pytest.raises(DataError, match="beta"):
         kaiser_weights(7, -1.0)
     np.testing.assert_array_equal(kaiser_weights(1, 3.0), [1.0])
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_kaiser_weights_rejects_non_finite_beta(beta):
+    with pytest.raises(DataError, match="beta must be finite and non-negative"):
+        kaiser_weights(7, beta)
 
 
 def test_smoother_precomputes_weights():

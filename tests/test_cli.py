@@ -318,24 +318,6 @@ def test_eval_counts_the_current_predictions(pipeline, tmp_path):
     assert json.loads((out / "report.json").read_text())["counting"] == expected
 
 
-def test_bench_reports_processed_duration(pipeline):
-    tmp, cfg_path = pipeline
-    assert main(["bench", "--config", str(cfg_path)]) == 0
-    report = json.loads((tmp / "out" / "bench.json").read_text())
-    assert report["n_recordings"] == 6
-    assert report["processed_duration_s"] == pytest.approx(6 * 30.0)
-    assert report["seconds_per_minute"] > 0
-    assert set(report["stages"]) == {"window", "decode", "stitch_count"}
-
-
-def test_bench_empty_dataset(tmp_path, capsys):
-    cfg = mini_config(tmp_path)
-    (tmp_path / "data").mkdir()
-    assert main(["bench", "--config", str(cfg)]) == 1
-    assert "error:" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "bench.json").exists()
-
-
 def test_unreadable_model_file_exits_1(pipeline, tmp_path, capsys):
     _, cfg_path = pipeline
     out = tmp_path / "out"
@@ -343,6 +325,15 @@ def test_unreadable_model_file_exits_1(pipeline, tmp_path, capsys):
     (out / "model.0.bin").write_text("not a model\n")
     assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert "not a model file" in capsys.readouterr().err
+
+
+def test_stray_model_file_name_exits_1(pipeline, tmp_path, capsys):
+    tmp, cfg_path = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(tmp / "out", out)
+    shutil.copy(out / "model.0.bin", out / "model.best.bin")
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"error: {out / 'model.best.bin'}: not a model file name" in capsys.readouterr().err
 
 
 def test_non_finite_normalization_in_model_file_exits_1(pipeline, tmp_path, capsys):
@@ -410,6 +401,40 @@ def test_malformed_data_file_exits_1(pipeline, tmp_path, capsys, pattern, edit, 
     assert main(["predict", "--config", str(cfg_path), "--data", str(data),
                  "--out", str(out)]) == 1
     assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+def _drop_test_subjects(path: Path) -> None:
+    split = json.loads(path.read_text())
+    del split["test_subjects"]
+    path.write_text(json.dumps(split))
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+@pytest.mark.parametrize("edit, message", [
+    (_truncate, "parse failure"),
+    (_drop_test_subjects, 'expected a "test_subjects" list of subject ids'),
+], ids=["invalid-json", "missing-test-subjects"])
+def test_malformed_split_file_exits_1(pipeline, tmp_path, capsys, command, edit, message):
+    tmp, cfg_path = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(tmp / "out", out)
+    edit(out / "split.json")
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"error: {out / 'split.json'}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, geometry, message", [
+    ("train", {"train_slide_s": 0.0}, "train_slide_s = 0.0 s is shorter than one frame"),
+    ("predict", {"test_slide_s": 0.0}, "test_slide_s = 0.0 s is shorter than one frame"),
+    ("predict", {"test_slide_s": 2.0}, "test_slide_s = 2.0 s must equal core_s = 4.0 s"),
+], ids=["zero-train-slide", "zero-test-slide", "overlapping-test-cores"])
+def test_uncuttable_geometry_exits_1(pipeline, tmp_path, capsys, command, geometry, message):
+    tmp, _ = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(tmp / "out", out)
+    cfg = mini_config(tmp_path, data_root=str(tmp / "data"), out_dir=str(out), **geometry)
+    assert main([command, "--config", str(cfg)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_stream_command_writes_events(pipeline):

@@ -286,6 +286,25 @@ class TestWindowSpec:
             WindowSpec(sample_rate_hz=11.0, window_s=5.0, core_s=4.0,
                        test_slide_s=4.0)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"sample_rate_hz": math.nan}, "sample rate must be finite and positive"),
+        ({"sample_rate_hz": math.inf}, "sample rate must be finite and positive"),
+        ({"sample_rate_hz": 0.0}, "sample rate must be finite and positive"),
+        ({"sample_rate_hz": 1e308}, "window_s = 6.0 s is not a whole frame count"),
+        ({"window_s": math.nan}, "window_s = nan s is not a whole frame count"),
+        ({"window_s": 0.0, "core_s": 0.0, "test_slide_s": 0.0},
+         "window_s = 0.0 s is shorter than one frame"),
+        ({"train_slide_s": 0.0}, "train_slide_s = 0.0 s is shorter than one frame"),
+        ({"test_slide_s": 0.0}, "test_slide_s = 0.0 s is shorter than one frame"),
+        ({"test_slide_s": 2.0}, "test_slide_s = 2.0 s must equal core_s = 4.0 s"),
+        ({"test_slide_s": 6.0}, "test_slide_s = 6.0 s must equal core_s = 4.0 s"),
+    ], ids=["nan-rate", "inf-rate", "zero-rate", "overflowing-rate", "nan-window",
+            "zero-window", "zero-train-slide", "zero-test-slide", "overlapping-test-cores",
+            "gapped-test-cores"])
+    def test_uncuttable_geometry_rejected(self, kwargs, message):
+        with pytest.raises(DataError, match=message):
+            WindowSpec(**{"sample_rate_hz": 100.0, **kwargs})
+
 
 def toy_recording(n, n_channels=2, fs=100.0):
     # frame index encoded in every channel so padding is easy to spot
