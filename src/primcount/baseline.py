@@ -43,12 +43,6 @@ class StatFeatures:
                                self.std, self.rms])
 
 
-def _frames_of(recording) -> np.ndarray:
-    if isinstance(recording, IMURecording):
-        return recording.frames
-    return np.asarray(recording, dtype=np.float64)
-
-
 def _context_span(t: int, n: int, context_frames: int) -> tuple[int, int]:
     half = context_frames // 2
     lo = max(0, t - half)
@@ -58,7 +52,7 @@ def _context_span(t: int, n: int, context_frames: int) -> tuple[int, int]:
 
 def extract_features(recording, t: int, context_frames: int = 100) -> StatFeatures:
     """Channel statistics over a centered context window, clamped at edges."""
-    frames = _frames_of(recording)
+    frames = np.asarray(getattr(recording, "frames", recording), dtype=np.float64)
     n = frames.shape[0]
     if not 0 <= t < n:
         raise DataError(f"frame {t} outside recording of {n} frames")
@@ -79,7 +73,7 @@ def extract_feature_matrix(recording, context_frames: int = 100) -> np.ndarray:
     Interior frames share a full-length window and are computed in bulk;
     the clamped edge frames fall back to the per-frame path.
     """
-    frames = _frames_of(recording)
+    frames = np.asarray(getattr(recording, "frames", recording), dtype=np.float64)
     n, C = frames.shape
     out = np.empty((n, 5 * C))
     half = context_frames // 2

@@ -252,11 +252,15 @@ def _read_split(out_dir: Path) -> dict:
     return split
 
 
-def _record_timing(out_dir: Path, stage: str, seconds: float) -> None:
+def _record_timing(out_dir: Path, stage: str, seconds: float) -> dict:
+    """Add one stage's seconds to timings.json; returns every stage's."""
     path = out_dir / "timings.json"
-    timings = json.loads(path.read_text()) if path.is_file() else {}
+    timings = _read_json(path) if path.is_file() else {}
+    if not isinstance(timings, dict):
+        raise DataError(f"{path}: expected a JSON object of stage timings")
     timings[stage] = seconds
     _write_json(path, timings)
+    return timings
 
 
 def _write_json(path: Path, obj) -> None:
@@ -505,9 +509,7 @@ def cmd_eval(cfg: RunConfig, args) -> int:
         test_recordings = [labeled for _, labeled in pairs]
         baseline = _baseline_block(cfg, dataset, split["pool_subjects"], test_recordings)
     elapsed = time.perf_counter() - t0
-    _record_timing(out_dir, "eval", elapsed)
-    timings_path = out_dir / "timings.json"
-    timings = json.loads(timings_path.read_text()) if timings_path.is_file() else {}
+    timings = _record_timing(out_dir, "eval", elapsed)
     report = {
         "config_hash": cfg.config_hash(),
         "config": cfg.to_json(),

@@ -444,12 +444,6 @@ def _batch_forward_backward(
     return loss, grads.arrays()
 
 
-def _frames_of(window) -> np.ndarray:
-    if isinstance(window, Window):
-        return window.frames
-    return np.asarray(window, dtype=np.float64)
-
-
 def _codes_of(target) -> np.ndarray:
     if isinstance(target, TargetSequence):
         return target.codes()
@@ -474,7 +468,7 @@ def grad_check(
     balances truncation against float64 cancellation; much below 1e-5
     the difference quotient turns noisy on small-gradient coordinates.
     """
-    frames = _frames_of(window)
+    frames = np.asarray(getattr(window, "frames", window), dtype=np.float64)
     codes = _codes_of(target)
     _, grads = _batch_forward_backward(params, frames[None], [codes])
     analytic = np.concatenate([g.ravel() for g in grads.values()])  # layout order
@@ -664,7 +658,8 @@ def train_member(
     # validation windows stay raw; decode_windows applies member normalization
     val_pairs = windows_and_targets(val_recs, data.window_spec, mode="test")
 
-    X = np.stack([w.frames for w, _ in train_pairs])
+    # window views into normalized_train; each batch is stacked on its own
+    frames = [w.frames for w, _ in train_pairs]
     targets = [t.codes() for _, t in train_pairs]
     n = len(train_pairs)
 
@@ -686,7 +681,7 @@ def train_member(
         for lo in range(0, n, train_config.batch_size):
             idx = order[lo : lo + train_config.batch_size]
             batch_loss, grads = _batch_forward_backward(
-                params, X[idx], [targets[i] for i in idx]
+                params, np.stack([frames[i] for i in idx]), [targets[i] for i in idx]
             )
             if not math.isfinite(batch_loss):
                 raise TrainingError(

@@ -230,7 +230,9 @@ class Window:
 
     core_start/core_end index into this window's frames; start_frame is
     the absolute recording frame the window begins at and is negative
-    for windows that reach into the virtual left pad.
+    for windows that reach into the virtual left pad. Windows that
+    make_windows cuts inside the recording are read-only views of its
+    frames and keep them alive while held; only edge windows own a copy.
     """
 
     recording_id: str
@@ -251,10 +253,6 @@ class Window:
     def abs_core_end(self) -> int:
         return self.start_frame + self.core_end
 
-    @property
-    def core_frames(self) -> np.ndarray:
-        return self.frames[self.core_start : self.core_end]
-
 
 def _core_starts(n_frames: int, core: int, slide: int, mode: str) -> list[int]:
     if mode == "test":
@@ -262,8 +260,8 @@ def _core_starts(n_frames: int, core: int, slide: int, mode: str) -> list[int]:
     if mode == "train":
         if n_frames <= core:
             return [0]
-        count = 1 + math.ceil((n_frames - core) / slide)
-        return [k * slide for k in range(count)]
+        # slide until a core reaches the end, but start no core at or past it
+        return list(range(0, min(n_frames, n_frames - core + slide), slide))
     raise DataError(f"unknown windowing mode {mode!r}")
 
 
@@ -277,6 +275,9 @@ def make_windows(
     mode the cores exactly tile [0, n_frames); the final core is truncated
     at the recording end but its window still has full length, tail-padded
     with the last frame. Train mode slides cores by train_slide_s instead.
+    A window inside [0, n_frames) is a read-only view of the recording's
+    frames, so a held window keeps them alive; only edge windows that
+    reach into the virtual pad copy their frames.
     """
     n = recording.n_frames
     if n < 1:
@@ -289,14 +290,19 @@ def make_windows(
     for core_abs_start in _core_starts(n, core, slide, mode):
         core_abs_end = min(core_abs_start + core, n)
         win_start = core_abs_start - flank
-        idx = np.clip(np.arange(win_start, win_start + window_len), 0, n - 1)
+        if 0 <= win_start <= n - window_len:
+            frames = recording.frames[win_start : win_start + window_len]
+            frames.flags.writeable = False
+        else:
+            idx = np.clip(np.arange(win_start, win_start + window_len), 0, n - 1)
+            frames = recording.frames[idx]
         windows.append(
             Window(
                 recording_id=recording.recording_id,
                 start_frame=win_start,
                 core_start=flank,
                 core_end=flank + (core_abs_end - core_abs_start),
-                frames=recording.frames[idx],
+                frames=frames,
             )
         )
     return windows

@@ -423,6 +423,20 @@ def test_malformed_split_file_exits_1(pipeline, tmp_path, capsys, command, edit,
     assert f"error: {out / 'split.json'}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("text, message", [
+    ('{"synth": 1.0', "parse failure"),
+    ("[1.0]", "expected a JSON object of stage timings"),
+], ids=["invalid-json", "not-an-object"])
+def test_malformed_timings_file_exits_1(pipeline, tmp_path, capsys, command, text, message):
+    tmp, cfg_path = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(tmp / "out", out)
+    (out / "timings.json").write_text(text)
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"error: {out / 'timings.json'}: {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, geometry, message", [
     ("train", {"train_slide_s": 0.0}, "train_slide_s = 0.0 s is shorter than one frame"),
     ("predict", {"test_slide_s": 0.0}, "test_slide_s = 0.0 s is shorter than one frame"),

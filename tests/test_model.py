@@ -2,6 +2,7 @@ import json
 import math
 import pickle
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -536,6 +537,26 @@ class TestTrainMember:
                           batch_size=8, seed=1)
         _, _, log = train_member(fold, data, TINY_TRAIN, cfg)
         assert log[-1].train_loss < log[0].train_loss
+
+    def test_memory_bounded_by_recording_frames(self):
+        # paper width and rate: 77 channels at 100 Hz, one 2-min recording
+        # to train on and one to validate. The 233 train windows hold 12x
+        # the train frames; batches are stacked from window views one at a
+        # time, so the peak stays a small multiple of the recordings' bytes
+        spec = SynthSpec(n_subjects=2, trials_per_subject=1, duration_s=120.0,
+                         sample_rate_hz=100.0, n_channels=77)
+        ds = synthesize_dataset(spec, seed=0)
+        data = TrainingData(tuple(ds.recordings), WindowSpec(sample_rate_hz=100.0))
+        fold = DatasetSplit(frozenset({"s00"}), frozenset({"s01"}))
+        frame_bytes = sum(r.recording.frames.nbytes for r in ds.recordings)
+        tracemalloc.start()
+        try:
+            train_member(fold, data, ModelConfig(input_dim=77, hidden_dim=4, embed_dim=4),
+                         TrainConfig(max_epochs=1, batch_size=32))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * frame_bytes, peak / frame_bytes
 
     def test_empty_fold_side_rejected(self):
         data = tiny_dataset()

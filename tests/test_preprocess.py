@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from primcount.dataset import (
     ChannelManifest,
@@ -333,6 +335,13 @@ class TestMakeWindows:
         assert starts == [50 * k for k in range(193)]
         assert windows[-1].abs_core_end == 10000
 
+    def test_train_slide_beyond_core(self):
+        # 5 s slide, 4 s core: k * 500 < 1000 keeps two cores, the third
+        # would start at the recording's end with an empty core
+        spec = WindowSpec(sample_rate_hz=100.0, train_slide_s=5.0)
+        windows = make_windows(toy_recording(1000), spec, mode="train")
+        assert [(w.abs_core_start, w.abs_core_end) for w in windows] == [(0, 400), (500, 900)]
+
     def test_truncated_tail_window(self):
         spec = WindowSpec(sample_rate_hz=100.0)
         windows = make_windows(toy_recording(630), spec, mode="test")
@@ -376,7 +385,33 @@ class TestMakeWindows:
         spec = WindowSpec(sample_rate_hz=100.0)
         windows = make_windows(toy_recording(1200), spec, mode="test")
         w = windows[1]
-        np.testing.assert_array_equal(w.core_frames[:, 0], np.arange(400, 800))
+        np.testing.assert_array_equal(w.frames[w.core_start : w.core_end, 0],
+                                      np.arange(400, 800))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rate=st.integers(1, 30), core=st.integers(1, 12), flank=st.integers(0, 5),
+       slide=st.integers(1, 12), n=st.integers(1, 80), mode=st.sampled_from(["test", "train"]))
+def test_windows_are_read_only_views_or_padded_copies(rate, core, flank, slide, n, mode):
+    spec = WindowSpec(sample_rate_hz=float(rate), window_s=(core + 2 * flank) / rate,
+                      core_s=core / rate, train_slide_s=slide / rate, test_slide_s=core / rate)
+    assert (spec.core_frames, spec.flank_frames, spec.train_slide_frames) == (core, flank, slide)
+    frames = np.random.default_rng(n).normal(size=(n, 3))
+    recording = IMURecording("s0", "a", 0, float(rate), frames)
+    before = recording.frames.copy()
+    length = core + 2 * flank
+    for w in make_windows(recording, spec, mode=mode):
+        start = w.start_frame
+        expected = recording.frames[np.clip(np.arange(start, start + length), 0, n - 1)]
+        assert w.frames.shape == expected.shape and w.frames.tobytes() == expected.tobytes()
+        if 0 <= start and start + length <= n:
+            assert np.shares_memory(w.frames, recording.frames)
+            assert not w.frames.flags.writeable
+            with pytest.raises(ValueError):
+                w.frames[0, 0] = 1.0
+        else:
+            assert w.frames.flags.owndata
+    assert recording.frames.tobytes() == before.tobytes()
 
 
 def seg(start, end, cls):
