@@ -39,6 +39,7 @@ from .dataset import (
     SyntheticDataset,
     _read_json,
     _stream_rng,
+    _write_json,
     load_dataset,
     save_dataset,
     synthesize_dataset,
@@ -104,7 +105,6 @@ class RunConfig:
     window_s: float = 6.0
     core_s: float = 4.0
     train_slide_s: float = 0.5
-    test_slide_s: float = 4.0
     # model
     hidden_dim: int = 64
     embed_dim: int = 32
@@ -121,6 +121,12 @@ class RunConfig:
     smoother_beta: float = 4.0
     baseline_context_frames: int = 100
 
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"config seed must be non-negative, got {self.seed}")
+        if not 0 < self.test_fraction < 1:  # NaN fails too
+            raise ConfigError(f"config test_fraction must lie in (0, 1), got {self.test_fraction}")
+
     def to_json(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
@@ -129,6 +135,7 @@ class RunConfig:
         if not isinstance(obj, dict):
             raise ConfigError("config is not a JSON object")
         annotations = {f.name: f.type for f in fields(cls)}
+        annotations["test_slide_s"] = "float"  # retired: test windows slide by the core
         unknown = set(obj) - set(annotations)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -143,7 +150,13 @@ class RunConfig:
                 )
             if isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"config {key} must be finite, got {value!r}")
-        return cls(**obj)
+        cfg = cls(**{k: v for k, v in obj.items() if k != "test_slide_s"})
+        slide = obj.get("test_slide_s", cfg.core_s)  # older configs carry it with that value
+        if slide != cfg.core_s:
+            rule = ("is shorter than one frame" if slide * cfg.sample_rate_hz < 1
+                    else f"must equal core_s = {cfg.core_s} s")
+            raise DataError(f"test_slide_s = {slide} s {rule}")
+        return cfg
 
     def config_hash(self) -> str:
         payload = json.dumps(self.to_json(), sort_keys=True).encode()
@@ -155,7 +168,6 @@ class RunConfig:
             window_s=self.window_s,
             core_s=self.core_s,
             train_slide_s=self.train_slide_s,
-            test_slide_s=self.test_slide_s,
         )
 
     def model_config(self, input_dim: int) -> ModelConfig:
@@ -263,13 +275,6 @@ def _record_timing(out_dir: Path, stage: str, seconds: float) -> dict:
     return timings
 
 
-def _write_json(path: Path, obj) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True)
-        fh.write("\n")
-
-
 def _by_subject(recordings, subjects) -> list[LabeledRecording]:
     wanted = set(subjects)
     return [r for r in recordings if r.recording.subject_id in wanted]
@@ -341,9 +346,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
     t0 = time.perf_counter()
     dataset = synthesize_dataset(spec, seed=cfg.seed)
     save_dataset(dataset, cfg.data_root)
-    out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _record_timing(out_dir, "synth", time.perf_counter() - t0)
+    _record_timing(Path(cfg.out_dir), "synth", time.perf_counter() - t0)
     n_segs = sum(len(r.segments) for r in dataset.recordings)
     print(
         f"wrote {len(dataset.recordings)} recordings "
@@ -565,8 +568,8 @@ def stream_replay(
     the consumer runs. Windows are cut with `spec` (default geometry at
     the recording's rate when omitted) and stitched incrementally with
     stitch_append, the rule stitch_windows folds with, so the final
-    sequence is identical to batch mode. Lag is emit time minus the
-    wall-clock time the window's core ended.
+    sequence equals batch mode's whenever the window tokens do. Lag is
+    emit time minus the wall-clock time the window's core ended.
     """
     if not speed > 0:  # also true for nan
         raise DataError("speed must be positive")
@@ -630,7 +633,6 @@ def cmd_stream(cfg: RunConfig, args) -> int:
         target = sorted(candidates, key=lambda r: r.recording.recording_id)[0]
     speed = args.speed if args.speed is not None else 1.0
     result = stream_replay(target.recording, ensemble, speed=speed, spec=cfg.window_spec())
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "stream_events.jsonl", "w") as fh:
         for event in result.events:
             fh.write(json.dumps(event, sort_keys=True) + "\n")

@@ -12,11 +12,10 @@ from __future__ import annotations
 import csv
 import enum
 import hashlib
-import io
 import json
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -144,7 +143,9 @@ def synthetic_manifest(n_channels: int) -> ChannelManifest:
 
 @dataclass
 class IMURecording:
-    """Uniformly sampled multi-channel frames for one subject trial."""
+    """Uniformly sampled multi-channel frames for one subject trial. The
+    frames are a read-only copy of a writable array; a read-only float64
+    array is kept as is, so nothing may write to its memory later."""
 
     subject_id: str
     activity: str
@@ -153,7 +154,10 @@ class IMURecording:
     frames: np.ndarray  # (n_frames, n_channels), float64
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames, dtype=np.float64)
+        frames = self.frames
+        if not (isinstance(frames, np.ndarray) and frames.dtype == np.float64
+                and not frames.flags.writeable):
+            self.frames = np.array(frames, dtype=np.float64)
         if self.frames.ndim != 2:
             raise DataError("frames must be a 2-D array")
         if not np.isfinite(self.frames).all():
@@ -299,6 +303,7 @@ def load_recording(
     labels_path = Path(labels_path)
     meta = _load_meta(labels_path)
     frames = _load_frames(frames_path, manifest, meta.get("frames_sidecar"))
+    frames.setflags(write=False)  # a fresh array: the recording takes it uncopied
     segments = _load_segments(labels_path)
     recording = IMURecording(
         subject_id=meta["subject_id"],
@@ -356,11 +361,7 @@ def _load_sidecar(path: Path, sidecar, expect: int) -> np.ndarray | None:
     npy_path = path.with_suffix(".npy")
     try:
         for file, key in ((path, "csv_sha256"), (npy_path, "npy_sha256")):
-            digest = hashlib.sha256()  # hashlib.file_digest needs Python 3.11
-            with open(file, "rb") as fh:
-                while chunk := fh.read(1 << 16):
-                    digest.update(chunk)
-            if digest.hexdigest() != sidecar.get(key):
+            if _sha256(file) != sidecar.get(key):
                 return None
         frames = np.load(npy_path, allow_pickle=False)
     except (OSError, ValueError, EOFError):  # no readable .npy, or digests over a non-.npy
@@ -369,15 +370,12 @@ def _load_sidecar(path: Path, sidecar, expect: int) -> np.ndarray | None:
     return frames if frames.dtype == np.float64 and shape_ok else None
 
 
-class _HashingWriter:
-    """Text file wrapper that hashes the UTF-8 bytes written through it."""
-
-    def __init__(self, fh):
-        self.fh, self.digest = fh, hashlib.sha256()
-
-    def write(self, text: str) -> None:
-        self.fh.write(text)
-        self.digest.update(text.encode("utf-8"))
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()  # hashlib.file_digest needs Python 3.11
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _check_frames_header(path: Path, header: list[str] | None, expect: int) -> None:
@@ -440,6 +438,13 @@ def _read_json(path: Path):
         raise DataError(f"{path}: parse failure: {exc}") from None
 
 
+def _write_json(path: Path, obj, sort_keys: bool = True) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=sort_keys)
+        fh.write("\n")
+
+
 def _load_segments(path: Path) -> list[PrimitiveSegment]:
     data = _read_json(path)
     if not isinstance(data, list):
@@ -488,44 +493,33 @@ def save_recording(labeled: LabeledRecording, directory: str | Path, manifest: C
     rec = labeled.recording
     stem = f"{rec.subject_id}__{rec.activity}__{rec.trial}"
     frames_path = directory / f"{stem}.csv"
+    npy_path = directory / f"{stem}.npy"
     fs = rec.sample_rate_hz
     with open(frames_path, "w", newline="", encoding="utf-8") as fh:
-        csv_out = _HashingWriter(fh)
         # csv.writer quotes channel names; float reprs never need quoting
-        csv.writer(csv_out, lineterminator="\n").writerow(["t", *manifest.names])
+        csv.writer(fh, lineterminator="\n").writerow(["t", *manifest.names])
         for i, row in enumerate(rec.frames):
-            csv_out.write(",".join(map(repr, (i / fs, *row.tolist()))) + "\n")
-    npy = io.BytesIO()
-    np.save(npy, np.ascontiguousarray(rec.frames), allow_pickle=False)
-    (directory / f"{stem}.npy").write_bytes(npy.getbuffer())
-    with open(directory / f"{stem}.labels.json", "w") as fh:
-        json.dump(
-            [
-                {"class": s.cls.label, "start": s.start, "end": s.end}
-                for s in labeled.segments
-            ],
-            fh,
-            indent=1,
-        )
-        fh.write("\n")
-    with open(directory / f"{stem}.meta.json", "w") as fh:
-        json.dump(
-            {
-                "subject_id": rec.subject_id,
-                "activity": rec.activity,
-                "trial": rec.trial,
-                "sample_rate_hz": rec.sample_rate_hz,
-                "frames_sidecar": {
-                    "csv_bytes": frames_path.stat().st_size,
-                    "csv_sha256": csv_out.digest.hexdigest(),
-                    "npy_sha256": hashlib.sha256(npy.getbuffer()).hexdigest(),
-                },
+            fh.write(",".join(map(repr, (i / fs, *row.tolist()))) + "\n")
+    np.save(npy_path, np.ascontiguousarray(rec.frames), allow_pickle=False)
+    _write_json(
+        directory / f"{stem}.labels.json",
+        [{"class": s.cls.label, "start": s.start, "end": s.end} for s in labeled.segments],
+        sort_keys=False,
+    )
+    _write_json(
+        directory / f"{stem}.meta.json",
+        {
+            "subject_id": rec.subject_id,
+            "activity": rec.activity,
+            "trial": rec.trial,
+            "sample_rate_hz": rec.sample_rate_hz,
+            "frames_sidecar": {
+                "csv_bytes": frames_path.stat().st_size,
+                "csv_sha256": _sha256(frames_path),
+                "npy_sha256": _sha256(npy_path),
             },
-            fh,
-            indent=1,
-            sort_keys=True,
-        )
-        fh.write("\n")
+        },
+    )
     return frames_path
 
 
@@ -732,21 +726,14 @@ def split_subjects(
 
 def save_dataset(dataset: SyntheticDataset, directory: str | Path) -> None:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    with open(directory / "manifest.json", "w") as fh:
-        json.dump(dataset.manifest.to_json(), fh, indent=1)
-        fh.write("\n")
-    with open(directory / "subjects.json", "w") as fh:
-        json.dump(
-            {
-                sid: {"paretic_side": s.paretic_side, "ue_fma_score": s.ue_fma_score}
-                for sid, s in sorted(dataset.subjects.items())
-            },
-            fh,
-            indent=1,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    _write_json(directory / "manifest.json", dataset.manifest.to_json(), sort_keys=False)
+    _write_json(
+        directory / "subjects.json",
+        {
+            sid: {"paretic_side": s.paretic_side, "ue_fma_score": s.ue_fma_score}
+            for sid, s in dataset.subjects.items()
+        },
+    )
     rec_dir = directory / "recordings"
     for labeled in dataset.recordings:
         save_recording(labeled, rec_dir, dataset.manifest)
@@ -775,8 +762,10 @@ def load_dataset(directory: str | Path) -> SyntheticDataset:
     recordings = []
     rec_dir = directory / "recordings"
     for frames_path in sorted(rec_dir.glob("*.csv")):
-        labels_path = frames_path.with_suffix(".labels.json")
-        recordings.append(load_recording(frames_path, labels_path, manifest))
+        labeled = load_recording(frames_path, frames_path.with_suffix(".labels.json"), manifest)
+        if labeled.recording.subject_id not in subjects:
+            raise DataError(f"{subjects_path}: no entry for the subject of {labeled.recording_id}")
+        recordings.append(labeled)
     if not recordings:
         raise DataError(f"{rec_dir}: no recordings found")
     return SyntheticDataset(recordings, subjects, manifest)

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import DataError, DatasetSplit, LabeledRecording, split_subjects
+from .dataset import DataError, DatasetSplit, LabeledRecording, _write_json, split_subjects
 from .preprocess import (
     NormalizationStats,
     TargetSequence,
@@ -837,7 +837,7 @@ def save_member(
         "normalization": stats.to_json(),
         "arrays": {name: _encode_array(arr) for name, arr in params.arrays().items()},
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _write_json(Path(path), doc)
 
 
 def load_member(path: str | Path) -> tuple[ModelParams, NormalizationStats]:
@@ -885,7 +885,6 @@ def _member_of(doc) -> tuple[ModelParams, NormalizationStats]:
 
 def save_ensemble(directory: str | Path, ensemble: EnsembleModel) -> list[Path]:
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for i, (params, stats) in enumerate(ensemble.members):
         path = directory / f"model.{i}.bin"

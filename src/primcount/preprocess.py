@@ -169,27 +169,22 @@ def apply_normalization(
 
 @dataclass(frozen=True)
 class WindowSpec:
-    """Window geometry. All durations must be whole frame counts, and the
-    test slide equals the core so that test cores tile a recording."""
+    """Window geometry. All durations must be whole frame counts. Test
+    windows slide by the core, so that test cores tile a recording."""
 
     sample_rate_hz: float
     window_s: float = 6.0
     core_s: float = 4.0
     train_slide_s: float = 0.5
-    test_slide_s: float = 4.0
 
     def __post_init__(self):
         if not 0 < self.sample_rate_hz <= sys.float_info.max:  # NaN fails too
             raise DataError(f"sample rate must be finite and positive, got {self.sample_rate_hz}")
         if self.core_s > self.window_s:
             raise DataError("core cannot exceed window")
-        for name in ("window_s", "core_s", "train_slide_s", "test_slide_s"):
+        for name in ("window_s", "core_s", "train_slide_s"):
             if self._frames(getattr(self, name), name) < 1:
                 raise DataError(f"{name} = {getattr(self, name)} s is shorter than one frame")
-        if self.test_slide_frames != self.core_frames:
-            raise DataError(
-                f"test_slide_s = {self.test_slide_s} s must equal core_s = {self.core_s} s"
-            )
         # flanks must split evenly
         self._frames((self.window_s - self.core_s) / 2.0, "flank")
 
@@ -221,7 +216,7 @@ class WindowSpec:
 
     @property
     def test_slide_frames(self) -> int:
-        return self._frames(self.test_slide_s, "test_slide_s")
+        return self.core_frames
 
 
 @dataclass

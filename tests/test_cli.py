@@ -89,6 +89,38 @@ def test_config_type_error_is_usage_error(tmp_path, capsys, key, value):
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "train"])
+@pytest.mark.parametrize("extra, args, message", [
+    ({}, ["--seed", "-1"], "config seed must be non-negative, got -1"),
+    ({"seed": -2}, [], "config seed must be non-negative, got -2"),
+    ({"test_fraction": 0.0}, [], "config test_fraction must lie in (0, 1), got 0.0"),
+    ({"test_fraction": -3.0}, [], "config test_fraction must lie in (0, 1), got -3.0"),
+    ({"test_fraction": 1.0}, [], "config test_fraction must lie in (0, 1), got 1.0"),
+], ids=["seed-flag", "seed-key", "zero-fraction", "negative-fraction", "whole-fraction"])
+def test_config_value_out_of_range_is_usage_error(tmp_path, capsys, command, extra, args, message):
+    cfg = mini_config(tmp_path, **extra)
+    assert main([command, "--config", str(cfg), *args]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("name", ["configs/smoke.json", "configs/desk.json",
+                                  "perfbench/fit_small.json"])
+def test_shipped_configs_build_a_window_spec(name):
+    path = Path(__file__).resolve().parents[1] / name
+    cfg = load_run_config(str(path), {})
+    obj = json.loads(path.read_text())
+    obj.pop("test_slide_s", None)  # retired; accepted while it equals core_s
+    assert cfg == RunConfig.from_json(obj)
+    spec = cfg.window_spec()
+    assert spec.test_slide_frames == spec.core_frames
+
+
+def test_core_alone_sets_the_test_slide():
+    spec = RunConfig.from_json({"core_s": 2.0, "window_s": 4.0}).window_spec()
+    assert spec.test_slide_frames == spec.core_frames == 200
+
+
 def test_config_accepts_int_for_float_field():
     assert RunConfig.from_json({"duration_s": 30, "learning_rate": 1}).duration_s == 30
 
@@ -441,7 +473,8 @@ def test_malformed_timings_file_exits_1(pipeline, tmp_path, capsys, command, tex
     ("train", {"train_slide_s": 0.0}, "train_slide_s = 0.0 s is shorter than one frame"),
     ("predict", {"test_slide_s": 0.0}, "test_slide_s = 0.0 s is shorter than one frame"),
     ("predict", {"test_slide_s": 2.0}, "test_slide_s = 2.0 s must equal core_s = 4.0 s"),
-], ids=["zero-train-slide", "zero-test-slide", "overlapping-test-cores"])
+    ("predict", {"test_slide_s": 6.0}, "test_slide_s = 6.0 s must equal core_s = 4.0 s"),
+], ids=["zero-train-slide", "zero-test-slide", "overlapping-test-cores", "gapped-test-cores"])
 def test_uncuttable_geometry_exits_1(pipeline, tmp_path, capsys, command, geometry, message):
     tmp, _ = pipeline
     out = tmp_path / "out"
@@ -513,7 +546,7 @@ def test_stream_equals_batch_for_any_geometry(rate, core, flank, length, seed):
     # recordings from 1 frame up to several windows, shorter than one
     # window included; stream decodes one window per call, batch all at once
     spec = WindowSpec(sample_rate_hz=float(rate), window_s=(core + 2 * flank) / rate,
-                      core_s=core / rate, train_slide_s=core / rate, test_slide_s=core / rate)
+                      core_s=core / rate, train_slide_s=core / rate)
     assert (spec.core_frames, spec.flank_frames) == (core, flank)
     frames = np.random.default_rng(seed).normal(size=(length, 3))
     recording = IMURecording("s0", "desk", 0, float(rate), frames)

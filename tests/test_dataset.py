@@ -36,6 +36,8 @@ from primcount.dataset import (
     _load_frames,
     _load_frames_by_row,
 )
+from primcount.model import ModelConfig, init_params, save_member
+from primcount.preprocess import WindowSpec, fit_normalization, make_windows
 
 
 class TestPrimitiveClass:
@@ -63,6 +65,34 @@ SHIPPED_MANIFEST = Path(__file__).resolve().parents[1] / "configs" / "manifest.j
 
 def shipped_manifest():
     return ChannelManifest.from_json(json.loads(SHIPPED_MANIFEST.read_text()))
+
+
+# sha256 of each file test_written_bytes_are_pinned writes; an edit to
+# a writer that changes any byte on disk changes one of these
+PINNED_DIGESTS = {
+    "data/manifest.json":
+        "f94600d22ebc18a4abd959ef0e941062794dd494813366ae2df93e6ae0a7ced5",
+    "data/recordings/s00__drill_a__0.csv":
+        "61518f1173589d1756870dade5076b30ddadbc11faed84d804faacc68ca58a9b",
+    "data/recordings/s00__drill_a__0.labels.json":
+        "104b673e4d4d2c8cc31d89658f0f5011c501b67cf0c0a5b9a03678ee4a8b2404",
+    "data/recordings/s00__drill_a__0.meta.json":
+        "f44ae8c3eeda55aa551607cbc8aac292ccb4f6787272393a962835d7dc590041",
+    "data/recordings/s00__drill_a__0.npy":
+        "760f21a2330ce2bd8acc2c2ea384d80d304c51d385c366625d92cb9cb8eb0af1",
+    "data/recordings/s01__drill_a__0.csv":
+        "e78e3904cb14f640b7c4ceaaf700a1b153bf2258afffea5ca4f53c4b0143b239",
+    "data/recordings/s01__drill_a__0.labels.json":
+        "38ce85d6b144a64eb077fbaf0b442a6a4460b4194e3b4819dff8cb2c4a7cccc6",
+    "data/recordings/s01__drill_a__0.meta.json":
+        "e4e5a4ad78a31416e27a873fdd761f9e47b6f78867e6d43dfd7a88ceac161ad8",
+    "data/recordings/s01__drill_a__0.npy":
+        "be5b900c3c2e8f4d07e57062aba2574967c18ca63187f2c949aef7a62201ae51",
+    "data/subjects.json":
+        "cac9ab4caa36aa48c7196dfd83deabc085c561e418e94efad2023e937319f268",
+    "model.0.bin":
+        "f6e048e3bb9411b6db8524351e713fded66df618a3b8b8c3f3c69063fdcfd81f",
+}
 
 
 class TestManifest:
@@ -112,6 +142,17 @@ class TestRecordingValidation:
         rec = IMURecording("s00", "a", 0, 100.0, np.zeros((10, 3)))
         with pytest.raises(ValueError):
             rec.frames[0, 0] = 1.0
+
+    def test_frames_do_not_alias_the_callers_array(self):
+        own = np.zeros((1000, 3))
+        IMURecording("s00", "a", 0, 100.0, own)
+        assert own.flags.writeable
+        big = np.zeros((1000, 5))
+        rec = IMURecording("s00", "a", 0, 100.0, big[:, :3])
+        w = make_windows(rec, WindowSpec(sample_rate_hz=100.0), mode="test")[1]
+        assert np.shares_memory(w.frames, rec.frames)
+        big[w.start_frame, 0] = 99.0
+        assert w.frames[0, 0] == 0.0 and rec.frames[w.start_frame, 0] == 0.0
 
     def test_channel_count_must_match_manifest(self):
         rec = IMURecording("s00", "a", 0, 100.0, np.zeros((10, 3)))
@@ -256,6 +297,22 @@ class TestFileIO:
             np.testing.assert_array_equal(got.recording.frames, orig.recording.frames)
             assert got.segments == orig.segments
 
+    def test_written_bytes_are_pinned(self, tmp_path):
+        # every file save_dataset and save_member write for a fixed tiny
+        # dataset and member, down to key order, float repr and .npy header
+        spec = SynthSpec(n_subjects=2, trials_per_subject=1, duration_s=2.0,
+                         sample_rate_hz=10.0, n_channels=3)
+        ds = synthesize_dataset(spec, seed=7)
+        save_dataset(ds, tmp_path / "data")
+        stats = fit_normalization([r.recording for r in ds.recordings])
+        params = init_params(ModelConfig(input_dim=3, hidden_dim=2, embed_dim=2), seed=7)
+        save_member(tmp_path / "model.0.bin", params, stats)
+        digests = {
+            p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.rglob("*") if p.is_file()
+        }
+        assert digests == PINNED_DIGESTS
+
     def test_header_only_frames_file(self, tmp_path):
         spec = SynthSpec(n_subjects=1, trials_per_subject=1, duration_s=2.0,
                          sample_rate_hz=50.0, n_channels=5)
@@ -274,7 +331,10 @@ class TestFileIO:
         ("subjects.json", lambda text: "[]", "subjects file must hold a JSON object"),
         ("subjects.json", lambda text: text.replace('"ue_fma_score": 31', '"ue_fma_score": 99'),
          "malformed subject 's00': impairment score 99"),
-    ], ids=["manifest-object", "manifest-entry", "subjects-array", "score-out-of-range"])
+        ("subjects.json", lambda text: json.dumps({"s00": json.loads(text)["s00"]}),
+         "no entry for the subject of s01/drill_a/0"),
+    ], ids=["manifest-object", "manifest-entry", "subjects-array", "score-out-of-range",
+            "subject-missing"])
     def test_malformed_dataset_file_names_the_file(self, tmp_path, name, edit, message):
         spec = SynthSpec(n_subjects=2, trials_per_subject=1, duration_s=2.0,
                          sample_rate_hz=40.0, n_channels=6)
