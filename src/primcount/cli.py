@@ -67,6 +67,7 @@ from .model import (
     TrainConfig,
     TrainingData,
     TrainingError,
+    ensemble_paths,
     load_ensemble,
     save_ensemble,
     train_ensemble,
@@ -241,18 +242,6 @@ def _require_dataset(cfg: RunConfig) -> SyntheticDataset:
     return dataset
 
 
-def _model_paths(out_dir: Path) -> list[Path]:
-    members = {}
-    for path in out_dir.glob("model.*.bin"):
-        index = path.name[len("model.") : -len(".bin")]
-        if not index.isdecimal():
-            raise DataError(f"{path}: not a model file name (expected model.<member>.bin)")
-        members[path] = int(index)
-    if not members:
-        raise DataError(f"no model files under {out_dir}")
-    return sorted(members, key=members.get)
-
-
 def _read_split(out_dir: Path) -> dict:
     """The subject split that train wrote: pool and test subject lists."""
     path = out_dir / "split.json"
@@ -292,13 +281,15 @@ def predict_sessions(
 
 
 def _load_sequences(
-    path: Path, recordings
+    out_dir: Path, dataset: SyntheticDataset
 ) -> list[tuple[SessionPrediction, LabeledRecording]]:
-    """Predicted sessions, each paired with its labelled recording."""
+    """(prediction, labels) for each held-out recording, in sequences.jsonl order."""
+    path = out_dir / "sequences.jsonl"
     if not path.is_file():
         raise DataError(f"predictions not found: {path} (run predict first)")
-    by_id = {r.recording.recording_id: r for r in recordings}
-    pairs = []
+    held_out = _by_subject(dataset.recordings, _read_split(out_dir)["test_subjects"])
+    by_id = {r.recording.recording_id: r for r in held_out}
+    pairs = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             try:
@@ -315,12 +306,16 @@ def _load_sequences(
                     'and a "sequence" list'
                 )
             recording_id, labels = obj["recording"], obj["sequence"]
-            labeled = by_id.get(recording_id)
-            if labeled is None:
-                raise DataError(f"unknown recording in predictions: {recording_id}")
+            if recording_id not in by_id:
+                raise DataError(f"{path}:{lineno}: {recording_id} is not a held-out recording")
+            if recording_id in pairs:
+                raise DataError(f"{path}:{lineno}: second prediction for {recording_id}")
             tokens = tuple(PrimitiveClass.from_label(t) for t in labels)
-            pairs.append((SessionPrediction(recording_id, tokens), labeled))
-    return pairs
+            pairs[recording_id] = (SessionPrediction(recording_id, tokens), by_id[recording_id])
+    missing = sorted(by_id.keys() - pairs.keys())
+    if missing:
+        raise DataError(f"{path}: no prediction for {missing[0]}")
+    return list(pairs.values())
 
 
 def _score(labeled: LabeledRecording, tokens) -> AlignmentRecord:
@@ -384,7 +379,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 def cmd_predict(cfg: RunConfig, args) -> int:
     dataset = _require_dataset(cfg)
     out_dir = Path(cfg.out_dir)
-    ensemble = load_ensemble(_model_paths(out_dir))
+    ensemble = load_ensemble(ensemble_paths(out_dir))
     test_recordings = _by_subject(dataset.recordings, _read_split(out_dir)["test_subjects"])
     if not test_recordings:
         raise DataError("no recordings for held-out subjects")
@@ -439,7 +434,7 @@ def _count_rows(pairs) -> tuple[list[list], list[dict]]:
 def cmd_count(cfg: RunConfig, args) -> int:
     dataset = _require_dataset(cfg)
     out_dir = Path(cfg.out_dir)
-    pairs = _load_sequences(out_dir / "sequences.jsonl", dataset.recordings)
+    pairs = _load_sequences(out_dir, dataset)
     t0 = time.perf_counter()
     rows, report_rows = _count_rows(pairs)
     with open(out_dir / "counts.csv", "w", newline="") as fh:
@@ -490,7 +485,7 @@ def _baseline_block(cfg: RunConfig, dataset, pool, test_recordings) -> dict:
 def cmd_eval(cfg: RunConfig, args) -> int:
     dataset = _require_dataset(cfg)
     out_dir = Path(cfg.out_dir)
-    pairs = _load_sequences(out_dir / "sequences.jsonl", dataset.recordings)
+    pairs = _load_sequences(out_dir, dataset)
     t0 = time.perf_counter()
     records = [_score(labeled, session.tokens) for session, labeled in pairs]
     groups = {g: aggregate(records, group_by=g) for g in GROUPINGS}
@@ -618,7 +613,7 @@ def stream_replay(
 def cmd_stream(cfg: RunConfig, args) -> int:
     dataset = _require_dataset(cfg)
     out_dir = Path(cfg.out_dir)
-    ensemble = load_ensemble(_model_paths(out_dir))
+    ensemble = load_ensemble(ensemble_paths(out_dir))
     by_id = {r.recording.recording_id: r for r in dataset.recordings}
     if args.recording is not None:
         if args.recording not in by_id:

@@ -5,6 +5,7 @@ ordered tiling of labeled primitive segments. Five primitive classes
 exist; their integer codes are stable and are what appears in files and
 confusion matrices. Synthetic datasets give every class a distinct noisy
 channel signature so that downstream models have known ground truth.
+Loading re-references quaternion groups to each recording's first frame.
 """
 
 from __future__ import annotations
@@ -178,17 +179,44 @@ class IMURecording:
     def recording_id(self) -> str:
         return f"{self.subject_id}/{self.activity}/{self.trial}"
 
-    def validate_against(self, manifest: ChannelManifest) -> None:
-        if self.n_channels != manifest.channel_count:
-            raise DataError(
-                f"dimensionality mismatch: frames have {self.n_channels} "
-                f"channels, manifest declares {manifest.channel_count}"
-            )
-
     def with_frames(self, frames: np.ndarray) -> "IMURecording":
         return IMURecording(
             self.subject_id, self.activity, self.trial, self.sample_rate_hz, frames
         )
+
+
+def _unit(q: np.ndarray) -> np.ndarray:
+    """Quaternions (w, x, y, z) along the last axis, scaled to unit norm."""
+    norm = np.linalg.norm(q, axis=-1, keepdims=True)
+    if np.any(norm < 1e-12):
+        raise DataError("zero-norm quaternion")
+    return q / norm
+
+
+def sensor_centric_transform(recording: IMURecording, manifest: ChannelManifest) -> IMURecording:
+    """Each quaternion group q(t) becomes conj(q(0)) ⊗ q(t), both normalized; other
+    channels pass through. Without quaternion groups, returns ``recording`` itself."""
+    if recording.n_channels != manifest.channel_count:
+        raise DataError(
+            f"dimensionality mismatch: frames have {recording.n_channels} "
+            f"channels, manifest declares {manifest.channel_count}"
+        )
+    groups = manifest.quaternion_groups()
+    if not groups:
+        return recording
+    frames = np.array(recording.frames)
+    for start in groups:
+        q = _unit(frames[:, start : start + 4])
+        w, x, y, z = q[0] * np.array([1.0, -1.0, -1.0, -1.0])  # conj(q(0))
+        a, b, c, d = q.T
+        frames[:, start : start + 4] = _unit(np.stack([  # Hamilton product
+            w * a - x * b - y * c - z * d,
+            w * b + x * a + y * d - z * c,
+            w * c - x * d + y * a + z * b,
+            w * d + x * c - y * b + z * a,
+        ], axis=-1))
+    frames.setflags(write=False)  # a fresh array: the recording takes it uncopied
+    return recording.with_frames(frames)
 
 
 @dataclass(frozen=True, order=True)
@@ -312,7 +340,10 @@ def load_recording(
         sample_rate_hz=float(meta["sample_rate_hz"]),
         frames=frames,
     )
-    recording.validate_against(manifest)
+    try:
+        recording = sensor_centric_transform(recording, manifest)
+    except DataError as exc:
+        raise DataError(f"{frames_path}: {exc}") from None
     return LabeledRecording(recording, segments)
 
 

@@ -53,10 +53,6 @@ class TrainingError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
-# model_config keys that older model files carry, with their only legal value
-_RETIRED_CONFIG_KEYS = {"cell_type": "gru", "attention": False}
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     input_dim: int = 77
@@ -83,14 +79,9 @@ class ModelConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ModelConfig":
-        """Inverse of to_json; also reads older files that still carry
-        the retired keys, provided they hold their only legal value."""
+        """Inverse of to_json."""
         if not isinstance(data, dict):
             raise DataError("model_config is not an object")
-        data = dict(data)
-        for key, legal in _RETIRED_CONFIG_KEYS.items():
-            if key in data and data.pop(key) != legal:
-                raise DataError(f"unsupported model_config {key}: {legal!r} only")
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise DataError(f"unknown model_config keys: {sorted(unknown)}")
@@ -883,14 +874,34 @@ def _member_of(doc) -> tuple[ModelParams, NormalizationStats]:
     return params, stats
 
 
+def _member_index(path: Path) -> int | None:
+    """i for a member file name ``model.<i>.bin`` (i as ``str(i)`` writes it), else None."""
+    index = path.name[len("model.") : -len(".bin")]
+    return int(index) if index.isdecimal() and str(int(index)) == index else None
+
+
 def save_ensemble(directory: str | Path, ensemble: EnsembleModel) -> list[Path]:
+    """Write member i to ``model.<i>.bin`` and delete other members' files."""
     directory = Path(directory)
-    paths = []
-    for i, (params, stats) in enumerate(ensemble.members):
-        path = directory / f"model.{i}.bin"
+    paths = [directory / f"model.{i}.bin" for i in range(len(ensemble.members))]
+    for path, (params, stats) in zip(paths, ensemble.members):
         save_member(path, params, stats)
-        paths.append(path)
+    for path in directory.glob("model.*.bin"):
+        if path not in paths and _member_index(path) is not None:
+            path.unlink()
     return paths
+
+
+def ensemble_paths(directory: str | Path) -> list[Path]:
+    """Every ``model.<i>.bin`` under ``directory``, in member order."""
+    members = {}
+    for path in Path(directory).glob("model.*.bin"):
+        members[path] = _member_index(path)
+        if members[path] is None:
+            raise DataError(f"{path}: not a model file name (expected model.<member>.bin)")
+    if not members:
+        raise DataError(f"no model files under {directory}")
+    return sorted(members, key=members.get)
 
 
 def load_ensemble(paths: list[str | Path]) -> EnsembleModel:

@@ -1,10 +1,10 @@
-"""Signal preprocessing: quaternion re-referencing, z-scoring, windowing.
+"""Signal preprocessing: z-scoring, windowing, targets.
 
-The model never sees raw recordings. Each recording is re-expressed
-relative to its calibration pose (sensor-centric quaternions), z-scored
-with statistics pooled over the training split, and cut into fixed-size
-windows whose central core carries the prediction target while the
-flanks only provide context.
+The model never sees raw recordings. Each loaded recording (whose
+quaternion groups ``dataset.load_recording`` has already re-expressed
+relative to the first frame) is z-scored with statistics pooled over
+the training split, and cut into fixed-size windows whose central core
+carries the prediction target while the flanks only provide context.
 """
 
 from __future__ import annotations
@@ -16,73 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import (
-    ChannelManifest,
     DataError,
     IMURecording,
     PrimitiveClass,
     PrimitiveSegment,
 )
-
-_ZERO_NORM_EPS = 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Quaternions, scalar first (w, x, y, z)
-# ---------------------------------------------------------------------------
-
-
-def quat_normalize(q: np.ndarray) -> np.ndarray:
-    """Normalize quaternions along the last axis; rejects zero norm."""
-    q = np.asarray(q, dtype=np.float64)
-    norm = np.linalg.norm(q, axis=-1, keepdims=True)
-    if np.any(norm < _ZERO_NORM_EPS):
-        raise DataError("zero-norm quaternion")
-    return q / norm
-
-
-def quat_conjugate(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=np.float64)
-    return q * np.array([1.0, -1.0, -1.0, -1.0])
-
-
-def quat_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product a ⊗ b, broadcasting over leading axes."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    w1, x1, y1, z1 = np.moveaxis(a, -1, 0)
-    w2, x2, y2, z2 = np.moveaxis(b, -1, 0)
-    return np.stack(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ],
-        axis=-1,
-    )
-
-
-def sensor_centric_transform(
-    recording: IMURecording, manifest: ChannelManifest
-) -> IMURecording:
-    """Re-express every quaternion stream relative to a reference pose.
-
-    For each sensor, q'(t) = conj(q_ref) ⊗ q(t), renormalized, with
-    q_ref the sensor's quaternion at the first frame. Non-quaternion
-    channels pass through untouched.
-    """
-    recording.validate_against(manifest)
-    groups = manifest.quaternion_groups()
-    if not groups:
-        return recording
-    frames = np.array(recording.frames)
-    for start in groups:
-        q = quat_normalize(frames[:, start : start + 4])
-        ref = q[0]
-        frames[:, start : start + 4] = quat_normalize(
-            quat_multiply(quat_conjugate(ref), q)
-        )
-    return recording.with_frames(frames)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import primcount.cli as cli_mod
 from primcount.cli import (
     ConfigError,
     RunConfig,
@@ -18,7 +19,18 @@ from primcount.cli import (
     predict_sessions,
     stream_replay,
 )
-from primcount.dataset import DataError, IMURecording, load_dataset
+from primcount.dataset import (
+    KIND_QUATERNION,
+    ChannelDescriptor,
+    ChannelManifest,
+    DataError,
+    IMURecording,
+    SynthSpec,
+    SyntheticDataset,
+    load_dataset,
+    save_dataset,
+    synthesize_dataset,
+)
 from primcount.decoding import count, decode_windows, stitch_windows
 from primcount.model import EnsembleModel, ModelConfig, ModelParams, init_params, load_ensemble
 from primcount.preprocess import NormalizationStats, WindowSpec, make_windows
@@ -245,6 +257,44 @@ def test_sample_rate_mismatch_fails(tmp_path, capsys):
     assert not (tmp_path / "out" / "split.json").exists()
 
 
+def save_quaternion_dataset(root: Path, zero_row: int | None = None) -> None:
+    """The mini config's dataset with channels 4-7 one quaternion group of
+    random, non-unit values; ``zero_row`` zeroes that frame of the first
+    recording's group."""
+    data = synthesize_dataset(SynthSpec(n_subjects=6, trials_per_subject=1, duration_s=30.0,
+                                        sample_rate_hz=20.0, n_channels=10), seed=5)
+    channels = list(data.manifest.channels)
+    channels[4:8] = [ChannelDescriptor(f"q_{c}", "imu", KIND_QUATERNION, "1") for c in "wxyz"]
+    rng = np.random.default_rng(0)
+    for labeled in data.recordings:
+        frames = np.array(labeled.recording.frames)
+        frames[:, 4:8] = rng.normal(size=(len(frames), 4)) * 2.0
+        labeled.recording = labeled.recording.with_frames(frames)
+    if zero_row is not None:
+        frames = np.array(data.recordings[0].recording.frames)
+        frames[zero_row, 4:8] = 0.0
+        data.recordings[0].recording = data.recordings[0].recording.with_frames(frames)
+    save_dataset(SyntheticDataset(data.recordings, data.subjects, ChannelManifest(tuple(channels))),
+                 root)
+
+
+def test_train_and_predict_on_quaternion_data(tmp_path):
+    cfg = mini_config(tmp_path)
+    save_quaternion_dataset(tmp_path / "data")
+    for command in ["train", "predict", "count", "eval"]:
+        assert main([command, "--config", str(cfg)]) == 0
+    assert len((tmp_path / "out" / "sequences.jsonl").read_text().splitlines()) == 2
+
+
+def test_zero_norm_quaternion_in_frames_file_exits_1(tmp_path, capsys):
+    cfg = mini_config(tmp_path)
+    save_quaternion_dataset(tmp_path / "data", zero_row=7)
+    frames_path = sorted((tmp_path / "data" / "recordings").glob("*.csv"))[0]
+    assert ",0.0,0.0,0.0,0.0," in frames_path.read_text().splitlines()[8]
+    assert main(["train", "--config", str(cfg)]) == 1
+    assert f"error: {frames_path}: zero-norm quaternion" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pipeline")
@@ -314,24 +364,66 @@ def test_rerun_is_byte_identical(pipeline):
     ).read_bytes()
 
 
+def _held_out_and_pool_ids(data: Path, out: Path) -> tuple[str, str]:
+    """First held-out recording of sequences.jsonl and one pool recording."""
+    held_out = json.loads((out / "sequences.jsonl").read_text().splitlines()[0])["recording"]
+    pool = set(json.loads((out / "split.json").read_text())["pool_subjects"])
+    other = next(r.recording_id for r in load_dataset(data).recordings
+                 if r.recording.subject_id in pool)
+    return held_out, other
+
+
 @pytest.mark.parametrize("command", ["count", "eval"])
 @pytest.mark.parametrize("line, message", [
     ('{"recording": "s00_t0", "sequence": [\n', "invalid JSON"),
     ('{"sequence": ["reach"]}\n', 'expected an object with a "recording" string'),
     ('{"recording": ["s00"], "sequence": []}\n', 'expected an object with a "recording"'),
     ('["s00", []]\n', 'expected an object with a "recording" string'),
-], ids=["invalid-json", "missing-key", "list-recording", "not-an-object"])
+    ('{"recording": "POOL", "sequence": []}\n', "POOL is not a held-out recording"),
+    ('{"recording": "HELD_OUT", "sequence": []}\n', "second prediction for HELD_OUT"),
+], ids=["invalid-json", "missing-key", "list-recording", "not-an-object", "not-held-out",
+        "second-prediction"])
 def test_malformed_sequences_line_is_data_error(
     pipeline, tmp_path, capsys, command, line, message
 ):
     tmp, cfg_path = pipeline
     out = tmp_path / "out"
     shutil.copytree(tmp / "out", out)
+    held_out, pool = _held_out_and_pool_ids(tmp / "data", out)
+    line = line.replace("HELD_OUT", held_out).replace("POOL", pool)
+    message = message.replace("HELD_OUT", held_out).replace("POOL", pool)
     with open(out / "sequences.jsonl", "a") as fh:
         fh.write(line)
     lineno = len((out / "sequences.jsonl").read_text().splitlines())
     assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
     assert f"sequences.jsonl:{lineno}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["count", "eval"])
+def test_missing_prediction_is_data_error(pipeline, tmp_path, capsys, command):
+    tmp, cfg_path = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(tmp / "out", out)
+    path = out / "sequences.jsonl"
+    first, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(rest))
+    missing = json.loads(first)["recording"]
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert f"error: {path}: no prediction for {missing}" in capsys.readouterr().err
+
+
+def test_retrain_with_fewer_folds_replaces_the_ensemble(pipeline, tmp_path, monkeypatch):
+    _, cfg_path = pipeline
+    out = tmp_path / "out"
+    args = ["--config", str(cfg_path), "--out", str(out)]
+    assert main(["train", *args, "--folds", "3"]) == 0
+    assert main(["train", *args, "--folds", "2"]) == 0
+    assert sorted(p.name for p in out.glob("model.*.bin")) == ["model.0.bin", "model.1.bin"]
+    loaded = []
+    monkeypatch.setattr(cli_mod, "load_ensemble",
+                        lambda paths: loaded.append(load_ensemble(paths)) or loaded[-1])
+    assert main(["predict", *args]) == 0
+    assert [len(e.members) for e in loaded] == [2]
 
 
 def test_eval_counts_the_current_predictions(pipeline, tmp_path):

@@ -21,7 +21,9 @@ from primcount.dataset import (
     LabeledRecording,
     PrimitiveClass,
     PrimitiveSegment,
+    SubjectInfo,
     SynthSpec,
+    SyntheticDataset,
     class_signature,
     load_dataset,
     load_recording,
@@ -29,6 +31,7 @@ from primcount.dataset import (
     save_recording,
     schedule_rng,
     schedule_segments,
+    sensor_centric_transform,
     split_subjects,
     synthesize_dataset,
     synthetic_manifest,
@@ -157,7 +160,7 @@ class TestRecordingValidation:
     def test_channel_count_must_match_manifest(self):
         rec = IMURecording("s00", "a", 0, 100.0, np.zeros((10, 3)))
         with pytest.raises(DataError, match="dimensionality mismatch"):
-            rec.validate_against(synthetic_manifest(4))
+            sensor_centric_transform(rec, synthetic_manifest(4))
 
     def test_segment_span_must_be_nonempty(self):
         with pytest.raises(DataError, match="invalid segment span"):
@@ -210,6 +213,30 @@ class TestFileIO:
         assert loaded.segments == labeled.segments
         assert loaded.recording.subject_id == "s00"
         assert loaded.recording.sample_rate_hz == 50.0
+
+    def test_quaternion_groups_load_sensor_centric_and_stay_raw_on_disk(self, tmp_path):
+        manifest = shipped_manifest()
+        rng = np.random.default_rng(4)
+        raw = [
+            LabeledRecording(
+                IMURecording(f"s0{i}", "drill_a", 0, 100.0, rng.normal(size=(300, 77)) * 3.0),
+                [PrimitiveSegment(0, 300, PrimitiveClass.REACH)],
+            )
+            for i in range(2)
+        ]
+        subjects = {f"s0{i}": SubjectInfo(f"s0{i}", "left", 30) for i in range(2)}
+        save_dataset(SyntheticDataset(raw, subjects, manifest), tmp_path)
+        loaded = load_dataset(tmp_path)
+        for written, got in zip(raw, loaded.recordings):
+            frames = got.recording.frames
+            expected = sensor_centric_transform(written.recording, manifest).frames
+            np.testing.assert_array_equal(frames, expected)
+            for start in manifest.quaternion_groups():
+                np.testing.assert_allclose(frames[0, start : start + 4], [1, 0, 0, 0], atol=1e-12)
+            stem = tmp_path / "recordings" / f"{written.recording.subject_id}__drill_a__0"
+            on_disk = [np.load(stem.with_suffix(".npy")), _load_frames_by_row(stem.with_suffix(".csv"), 77)]
+            for array in on_disk:
+                np.testing.assert_array_equal(array, written.recording.frames)
 
     def test_wrong_channel_count_is_a_distinct_error(self, tmp_path):
         spec = SynthSpec(n_subjects=1, trials_per_subject=1, duration_s=2.0,

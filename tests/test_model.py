@@ -36,10 +36,12 @@ from primcount.model import (
     _layout,
     _sigmoid,
     decode_step_batch,
+    ensemble_paths,
     grad_check,
     init_params,
     load_member,
     member_seed,
+    save_ensemble,
     save_member,
     train_ensemble,
     train_member,
@@ -761,6 +763,25 @@ class TestPersistence:
         np.testing.assert_array_equal(loaded_stats.mean, stats.mean)
         assert loaded_stats.source_split == "fold1"
 
+    def test_save_ensemble_deletes_only_stale_member_files(self, tmp_path):
+        stats = NormalizationStats(np.zeros(3), np.ones(3))
+        members = [(init_params(TINY, seed), stats) for seed in range(3)]
+        save_ensemble(tmp_path, EnsembleModel(TINY, members))
+        (tmp_path / "model.10.bin").write_text("stale")
+        (tmp_path / "notes.bin").write_text("kept")
+        paths = save_ensemble(tmp_path, EnsembleModel(TINY, members[:2]))
+        assert ensemble_paths(tmp_path) == paths == [tmp_path / "model.0.bin", tmp_path / "model.1.bin"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.0.bin", "model.1.bin", "notes.bin"]
+        save_ensemble(tmp_path, EnsembleModel(TINY, members[:1]))
+        assert not (tmp_path / "model.1.bin").exists()
+        for stray in ["model.best.bin", "model.01.bin"]:  # 01 would be a second member 1
+            (tmp_path / stray).write_text("kept")
+            save_ensemble(tmp_path, EnsembleModel(TINY, members[:1]))
+            assert (tmp_path / stray).is_file()
+            with pytest.raises(DataError, match=f"{stray}: not a model file name"):
+                ensemble_paths(tmp_path)
+            (tmp_path / stray).unlink()
+
     def test_two_saves_byte_identical(self, tmp_path):
         params = init_params(TINY, 2)
         stats = NormalizationStats(np.zeros(3), np.ones(3))
@@ -800,11 +821,13 @@ class TestPersistence:
             load_member(path)
 
     def test_unknown_model_config_key_rejected(self, tmp_path):
-        path, doc = self._saved_doc(tmp_path)
-        doc["model_config"]["dropout"] = 0.1
-        path.write_text(json.dumps(doc))
-        with pytest.raises(DataError, match="unknown model_config keys"):
-            load_member(path)
+        # cell_type and attention were retired keys; they are unknown now
+        for key, value in [("dropout", 0.1), ("cell_type", "gru"), ("attention", False)]:
+            path, doc = self._saved_doc(tmp_path)
+            doc["model_config"][key] = value
+            path.write_text(json.dumps(doc))
+            with pytest.raises(DataError, match=rf"m\.bin: unknown model_config keys: \['{key}'\]"):
+                load_member(path)
 
     @pytest.mark.parametrize("case", [
         "array_without_data", "data_size_not_shape", "bad_base64",
@@ -911,15 +934,6 @@ class TestModelConfig:
     def test_json_round_trip(self):
         cfg = ModelConfig(input_dim=12, hidden_dim=32, embed_dim=8)
         assert ModelConfig.from_json(cfg.to_json()) == cfg
-
-    def test_retired_keys_read_only_at_their_legal_value(self):
-        doc = ModelConfig(input_dim=12).to_json()
-        assert "cell_type" not in doc and "attention" not in doc
-        older = {**doc, "cell_type": "gru", "attention": False}
-        assert ModelConfig.from_json(older) == ModelConfig(input_dim=12)
-        for key, value in [("cell_type", "lstm"), ("attention", True)]:
-            with pytest.raises(DataError, match=key):
-                ModelConfig.from_json({**doc, key: value})
 
 
 class TestTrainConfig:

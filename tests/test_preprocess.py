@@ -14,6 +14,7 @@ from primcount.dataset import (
     PrimitiveClass,
     PrimitiveSegment,
     SynthSpec,
+    sensor_centric_transform,
     synthesize_dataset,
     synthetic_manifest,
 )
@@ -27,10 +28,6 @@ from primcount.preprocess import (
     fit_normalization,
     make_windows,
     normalize_frames,
-    quat_conjugate,
-    quat_multiply,
-    quat_normalize,
-    sensor_centric_transform,
 )
 
 
@@ -50,39 +47,64 @@ def axis_angle_quat(axis, angle):
     return np.concatenate([[math.cos(angle / 2)], math.sin(angle / 2) * axis])
 
 
+def ref_quat_normalize(q):
+    """Unit quaternions along the last axis (reference)."""
+    q = np.asarray(q, dtype=np.float64)
+    norm = np.linalg.norm(q, axis=-1, keepdims=True)
+    if np.any(norm < 1e-12):
+        raise DataError("zero-norm quaternion")
+    return q / norm
+
+
+def ref_quat_conjugate(q):
+    return np.asarray(q, dtype=np.float64) * np.array([1.0, -1.0, -1.0, -1.0])
+
+
+def ref_quat_multiply(a, b):
+    """Hamilton product a ⊗ b, broadcasting over leading axes (reference)."""
+    w1, x1, y1, z1 = np.moveaxis(np.asarray(a, dtype=np.float64), -1, 0)
+    w2, x2, y2, z2 = np.moveaxis(np.asarray(b, dtype=np.float64), -1, 0)
+    return np.stack(
+        [
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ],
+        axis=-1,
+    )
+
+
+def ref_sensor_centric_frames(frames, manifest):
+    """The transform as a composition of the general helpers (reference)."""
+    frames = np.array(frames)
+    for start in manifest.quaternion_groups():
+        q = ref_quat_normalize(frames[:, start : start + 4])
+        frames[:, start : start + 4] = ref_quat_normalize(
+            ref_quat_multiply(ref_quat_conjugate(q[0]), q)
+        )
+    return frames
+
+
 class TestQuaternionAlgebra:
     def test_multiply_matches_rotation_composition(self):
         rng = np.random.default_rng(42)
         for _ in range(100):
-            a = quat_normalize(rng.normal(size=4))
-            b = quat_normalize(rng.normal(size=4))
-            ab = quat_multiply(a, b)
-            # a ⊗ b rotates by b-then-a in the fixed frame
+            a = ref_quat_normalize(rng.normal(size=4))
+            b = ref_quat_normalize(rng.normal(size=4))
+            rel = sensor_centric_transform(quat_recording(np.stack([a, b])),
+                                           one_sensor_manifest(0)).frames[1]
+            # conj(a) ⊗ b rotates by b, then back by a, in the fixed frame
             np.testing.assert_allclose(
-                rotation_matrix(ab),
-                rotation_matrix(a) @ rotation_matrix(b),
+                rotation_matrix(rel),
+                rotation_matrix(a).T @ rotation_matrix(b),
                 atol=1e-12,
             )
 
-    def test_relative_rotation_example(self):
-        # ref 90 deg about z, observed 180 deg about z -> relative 90 deg about z
-        ref = axis_angle_quat([0, 0, 1], math.pi / 2)
-        obs = axis_angle_quat([0, 0, 1], math.pi)
-        rel = quat_multiply(quat_conjugate(ref), obs)
-        np.testing.assert_allclose(rel, axis_angle_quat([0, 0, 1], math.pi / 2),
-                                   atol=1e-12)
 
-    def test_conjugate_inverts_unit_quaternions(self):
-        rng = np.random.default_rng(1)
-        q = quat_normalize(rng.normal(size=(50, 4)))
-        prod = quat_multiply(quat_conjugate(q), q)
-        expected = np.zeros((50, 4))
-        expected[:, 0] = 1.0
-        np.testing.assert_allclose(prod, expected, atol=1e-12)
-
-    def test_zero_norm_rejected(self):
-        with pytest.raises(DataError, match="zero-norm"):
-            quat_normalize(np.zeros(4))
+def shipped_manifest():
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "manifest.json"
+    return ChannelManifest.from_json(json.loads(shipped.read_text()))
 
 
 def quat_recording(quats, extra=None, fs=100.0):
@@ -109,15 +131,17 @@ def one_sensor_manifest(n_extra):
 
 class TestSensorCentricTransform:
     def test_self_reference_gives_identity(self):
-        q = axis_angle_quat([1, 2, 3], 0.7)
-        rec = quat_recording(np.tile(q, (20, 1)))
-        out = sensor_centric_transform(rec, one_sensor_manifest(0))
+        rng = np.random.default_rng(1)
         expected = np.tile([1.0, 0.0, 0.0, 0.0], (20, 1))
-        np.testing.assert_allclose(out.frames, expected, atol=1e-12)
+        for _ in range(50):
+            q = rng.normal(size=4) * rng.uniform(0.1, 10.0)  # not unit norm
+            rec = quat_recording(np.tile(q, (20, 1)))
+            out = sensor_centric_transform(rec, one_sensor_manifest(0))
+            np.testing.assert_allclose(out.frames, expected, atol=1e-12)
 
     def test_identity_reference_passes_through(self):
         rng = np.random.default_rng(5)
-        quats = quat_normalize(rng.normal(size=(30, 4)))
+        quats = ref_quat_normalize(rng.normal(size=(30, 4)))
         quats[0] = [1.0, 0.0, 0.0, 0.0]
         rec = quat_recording(quats)
         out = sensor_centric_transform(rec, one_sensor_manifest(0))
@@ -134,7 +158,7 @@ class TestSensorCentricTransform:
 
     def test_non_quaternion_channels_untouched(self):
         rng = np.random.default_rng(6)
-        quats = quat_normalize(rng.normal(size=(25, 4)))
+        quats = ref_quat_normalize(rng.normal(size=(25, 4)))
         extra = rng.normal(size=(25, 3))
         rec = quat_recording(quats, extra)
         out = sensor_centric_transform(rec, one_sensor_manifest(3))
@@ -156,13 +180,26 @@ class TestSensorCentricTransform:
         with pytest.raises(DataError, match="zero-norm"):
             sensor_centric_transform(rec, one_sensor_manifest(0))
 
+    def test_equals_reference_composition_bitwise(self):
+        manifest = shipped_manifest()
+        rng = np.random.default_rng(9)
+        frames = rng.normal(size=(3000, manifest.channel_count)) * 3.0  # non-unit quaternions
+        rec = IMURecording("s00", "a", 0, 100.0, frames)
+        out = sensor_centric_transform(rec, manifest)
+        np.testing.assert_array_equal(out.frames, ref_sensor_centric_frames(frames, manifest))
+        assert not out.frames.flags.writeable
+        np.testing.assert_array_equal(rec.frames, frames)  # the input is left as it was
+
+    def test_without_quaternion_groups_returns_the_recording_itself(self):
+        rec = IMURecording("s00", "a", 0, 100.0, np.ones((10, 6)))
+        assert sensor_centric_transform(rec, synthetic_manifest(6)) is rec
+
     def test_default_manifest_all_groups_transformed(self):
-        shipped = Path(__file__).resolve().parents[1] / "configs" / "manifest.json"
-        manifest = ChannelManifest.from_json(json.loads(shipped.read_text()))
+        manifest = shipped_manifest()
         rng = np.random.default_rng(8)
         frames = rng.normal(size=(15, manifest.channel_count))
         for start in manifest.quaternion_groups():
-            frames[:, start : start + 4] = quat_normalize(
+            frames[:, start : start + 4] = ref_quat_normalize(
                 rng.normal(size=(15, 4))
             )
         rec = IMURecording("s00", "a", 0, 100.0, frames)
