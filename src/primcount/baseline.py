@@ -18,81 +18,37 @@ from .decoding import WindowPrediction
 from .model import Adam, TrainingError, _softmax
 from .preprocess import Window
 
-STAT_NAMES = ("mean", "maximum", "minimum", "std", "rms")
-
-
-@dataclass
-class StatFeatures:
-    """Five summary statistics per channel over one context window."""
-
-    mean: np.ndarray
-    maximum: np.ndarray
-    minimum: np.ndarray
-    std: np.ndarray
-    rms: np.ndarray
-
-    def __post_init__(self):
-        if np.any(self.minimum > self.mean) or np.any(self.mean > self.maximum):
-            raise DataError("feature invariant violated: min <= mean <= max")
-        if np.any(self.std < 0) or np.any(self.rms < 0):
-            raise DataError("std and rms must be non-negative")
-
-    def as_vector(self) -> np.ndarray:
-        """Stat-major flattening: all means, then maxima, and so on."""
-        return np.concatenate([self.mean, self.maximum, self.minimum,
-                               self.std, self.rms])
-
-
-def _context_span(t: int, n: int, context_frames: int) -> tuple[int, int]:
-    half = context_frames // 2
-    lo = max(0, t - half)
-    hi = min(n, t - half + context_frames)
-    return lo, hi
-
-
-def extract_features(recording, t: int, context_frames: int = 100) -> StatFeatures:
-    """Channel statistics over a centered context window, clamped at edges."""
-    frames = np.asarray(getattr(recording, "frames", recording), dtype=np.float64)
-    n = frames.shape[0]
-    if not 0 <= t < n:
-        raise DataError(f"frame {t} outside recording of {n} frames")
-    lo, hi = _context_span(t, n, context_frames)
-    chunk = frames[lo:hi]
-    return StatFeatures(
-        mean=chunk.mean(axis=0),
-        maximum=chunk.max(axis=0),
-        minimum=chunk.min(axis=0),
-        std=chunk.std(axis=0),
-        rms=np.sqrt((chunk**2).mean(axis=0)),
+def _stats(a: np.ndarray, axis: int) -> np.ndarray:
+    """Mean, max, min, std and rms along ``axis``, stat-major on the last axis."""
+    return np.concatenate(
+        [a.mean(axis=axis), a.max(axis=axis), a.min(axis=axis), a.std(axis=axis),
+         np.sqrt((a**2).mean(axis=axis))],
+        axis=-1,
     )
 
 
 def extract_feature_matrix(recording, context_frames: int = 100) -> np.ndarray:
     """Per-frame feature vectors for a whole recording, (n, 5*channels).
 
-    Interior frames share a full-length window and are computed in bulk;
-    the clamped edge frames fall back to the per-frame path.
+    Frame t is described by the mean, max, min, std and rms of each
+    channel over the context [t - context_frames//2, t - context_frames//2
+    + context_frames), stat-major: all means, then all maxima, and so on.
+    Interior frames, whose context fits the recording, are reduced in one
+    pass over a sliding view; each edge frame reduces its context clamped
+    to the recording.
     """
     frames = np.asarray(getattr(recording, "frames", recording), dtype=np.float64)
     n, C = frames.shape
     out = np.empty((n, 5 * C))
     half = context_frames // 2
-    first_full = half
-    last_full = n - (context_frames - half)  # inclusive
-    if last_full >= first_full and context_frames <= n:
+    if context_frames <= n:
+        lo, hi = half, n - context_frames + half + 1
         view = np.lib.stride_tricks.sliding_window_view(frames, context_frames, axis=0)
-        # view: (n - context + 1, C, context)
-        sl = slice(first_full, last_full + 1)
-        out[sl, 0:C] = view.mean(axis=2)
-        out[sl, C : 2 * C] = view.max(axis=2)
-        out[sl, 2 * C : 3 * C] = view.min(axis=2)
-        out[sl, 3 * C : 4 * C] = view.std(axis=2)
-        out[sl, 4 * C : 5 * C] = np.sqrt((view**2).mean(axis=2))
-        edge_ts = list(range(first_full)) + list(range(last_full + 1, n))
+        out[lo:hi] = _stats(view, axis=2)  # view: (n - context + 1, C, context)
     else:
-        edge_ts = range(n)
-    for t in edge_ts:
-        out[t] = extract_features(frames, t, context_frames).as_vector()
+        lo = hi = n
+    for t in [*range(lo), *range(hi, n)]:
+        out[t] = _stats(frames[max(0, t - half) : t - half + context_frames], axis=0)
     return out
 
 
@@ -153,16 +109,17 @@ class PointwiseTrack:
 def smooth(track: PointwiseTrack, smoother: KaiserSmoother) -> PointwiseTrack:
     """Weighted running average of each class channel.
 
-    Near the edges the window sticks out of the recording; the missing
-    taps are dropped and the remaining ones renormalized, which the
-    ones-vector denominator implements exactly. Rows are renormalized to
-    sum to 1 afterwards.
+    Near the edges, and anywhere on a track shorter than the window, the
+    window sticks out of the recording; the missing taps are dropped and
+    the remaining ones renormalized, which the ones-vector denominator
+    implements exactly. Rows are renormalized to sum to 1 afterwards.
     """
     w = smoother.weights
-    cover = np.convolve(np.ones(track.n_frames), w, mode="same")
+    n, half = track.n_frames, len(w) // 2
+    cover = np.convolve(np.ones(n), w)[half : half + n]
     out = np.empty_like(track.probs)
     for c in range(N_CLASSES):
-        out[:, c] = np.convolve(track.probs[:, c], w, mode="same") / cover
+        out[:, c] = np.convolve(track.probs[:, c], w)[half : half + n] / cover
     out /= out.sum(axis=1, keepdims=True)
     return PointwiseTrack(track.recording_id, out)
 
@@ -207,16 +164,18 @@ def collapse_windows(
 # ---------------------------------------------------------------------------
 
 
+LEARNING_RATE = 0.05
+BATCH_SIZE = 512
+
+
 @dataclass(frozen=True)
 class PointwiseTrainConfig:
     context_frames: int = 100
-    learning_rate: float = 0.05
     max_epochs: int = 60
-    batch_size: int = 512
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.max_epochs < 1 or self.batch_size < 1:
+        if self.max_epochs < 1:
             raise DataError("invalid pointwise training config")
         if self.context_frames < 1:
             raise DataError("context must be at least one frame")
@@ -224,7 +183,7 @@ class PointwiseTrainConfig:
 
 @dataclass
 class LogisticPointwise:
-    """Multinomial logistic regression over standardized StatFeatures.
+    """Multinomial logistic regression over standardized frame features.
 
     Any object with predict_proba(features) -> (n, 5) row-stochastic
     probabilities can stand in for this reference model.
@@ -277,13 +236,13 @@ def train_pointwise(
     W = np.zeros((F, N_CLASSES))
     b = np.zeros(N_CLASSES)
     arrays = {"W": W, "b": b}
-    opt = Adam(lr=config.learning_rate)
+    opt = Adam(lr=LEARNING_RATE)
     rng = np.random.default_rng(config.seed)
     onehot_rows = np.eye(N_CLASSES)[labels]
     for epoch in range(config.max_epochs):
         order = rng.permutation(n)
-        for lo in range(0, n, config.batch_size):
-            idx = order[lo : lo + config.batch_size]
+        for lo in range(0, n, BATCH_SIZE):
+            idx = order[lo : lo + BATCH_SIZE]
             zb = z[idx]
             probs = _softmax(zb @ W + b)
             if not np.isfinite(probs).all():

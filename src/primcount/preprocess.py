@@ -272,18 +272,14 @@ class TargetSequence:
         return np.array([int(t) for t in self.tokens], dtype=np.int64)
 
 
-def derive_target_sequence(
-    segments: list[PrimitiveSegment],
-    window: Window,
-    min_overlap_frames: int = MIN_OVERLAP_FRAMES,
-    max_tokens: int = MAX_TOKENS,
-) -> TargetSequence:
+def derive_target_sequence(segments: list[PrimitiveSegment], window: Window) -> TargetSequence:
     """Tokens of segments overlapping the window core, in temporal order.
 
-    Segments whose core overlap falls below min_overlap_frames are
+    Segments whose core overlap falls below MIN_OVERLAP_FRAMES are
     dropped; distinct adjacent segments of the same class still emit one
     token each. If thresholding removes everything, the single segment
-    with maximum overlap is emitted so the target is never empty.
+    with maximum overlap is emitted so the target is never empty. At
+    most MAX_TOKENS are kept.
     """
     lo, hi = window.abs_core_start, window.abs_core_end
     tokens: list[PrimitiveClass] = []
@@ -298,10 +294,10 @@ def derive_target_sequence(
         if overlap > best_overlap:
             best_overlap = overlap
             best_cls = seg.cls
-        if overlap >= min_overlap_frames:
+        if overlap >= MIN_OVERLAP_FRAMES:
             tokens.append(seg.cls)
     if not tokens:
         if best_cls is None:
             raise DataError("window core overlaps no segment")
         tokens = [best_cls]
-    return TargetSequence(tuple(tokens[:max_tokens]))
+    return TargetSequence(tuple(tokens[:MAX_TOKENS]))

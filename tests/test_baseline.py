@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import numpy as np
@@ -12,7 +14,6 @@ from primcount.baseline import (
     collapse,
     collapse_windows,
     extract_feature_matrix,
-    extract_features,
     frame_labels,
     kaiser_weights,
     smooth,
@@ -51,6 +52,15 @@ def reference_stats(chunk):
     var = [sum((chunk[t, j] - mean[j]) ** 2 for t in range(n)) / n for j in range(C)]
     rms = [math.sqrt(sum(chunk[t, j] ** 2 for t in range(n)) / n) for j in range(C)]
     return mean, mx, mn, [math.sqrt(v) for v in var], rms
+
+
+def reference_features(frames, t, context):
+    """Per-frame form: the five statistics over frame t's context, clamped
+    to the recording, in stat-major order."""
+    half = context // 2
+    chunk = frames[max(0, t - half) : min(len(frames), t - half + context)]
+    return np.concatenate([chunk.mean(axis=0), chunk.max(axis=0), chunk.min(axis=0),
+                           chunk.std(axis=0), np.sqrt((chunk**2).mean(axis=0))])
 
 
 def reference_i0(x, terms=50):
@@ -95,63 +105,84 @@ def random_track(rng, n):
 def test_features_match_reference_stats():
     rng = np.random.default_rng(0)
     frames = rng.normal(size=(40, 3))
-    feats = extract_features(frames, 20, context_frames=10)
+    row = extract_feature_matrix(frames, context_frames=10)[20]
     mean, mx, mn, std, rms = reference_stats(frames[15:25])
-    np.testing.assert_allclose(feats.mean, mean, atol=1e-12)
-    np.testing.assert_allclose(feats.maximum, mx, atol=0)
-    np.testing.assert_allclose(feats.minimum, mn, atol=0)
-    np.testing.assert_allclose(feats.std, std, atol=1e-12)
-    np.testing.assert_allclose(feats.rms, rms, atol=1e-12)
+    np.testing.assert_allclose(row[0:3], mean, atol=1e-12)
+    np.testing.assert_allclose(row[3:6], mx, atol=0)
+    np.testing.assert_allclose(row[6:9], mn, atol=0)
+    np.testing.assert_allclose(row[9:12], std, atol=1e-12)
+    np.testing.assert_allclose(row[12:15], rms, atol=1e-12)
 
 
 def test_features_clamped_at_edges():
     rng = np.random.default_rng(1)
     frames = rng.normal(size=(60, 2))
-    first = extract_features(frames, 0, context_frames=100)
-    np.testing.assert_array_equal(first.mean, frames[0:50].mean(axis=0))
-    last = extract_features(frames, 59, context_frames=100)
-    np.testing.assert_array_equal(last.mean, frames[9:60].mean(axis=0))
-
-
-def test_features_out_of_range():
-    frames = np.zeros((10, 2))
-    with pytest.raises(DataError, match="outside"):
-        extract_features(frames, 10)
-    with pytest.raises(DataError, match="outside"):
-        extract_features(frames, -1)
+    mat = extract_feature_matrix(frames, context_frames=100)
+    np.testing.assert_array_equal(mat[0, :2], frames[0:50].mean(axis=0))
+    np.testing.assert_array_equal(mat[59, :2], frames[9:60].mean(axis=0))
 
 
 def test_feature_vector_order():
     frames = np.arange(12.0).reshape(6, 2)
-    f = extract_features(frames, 3, context_frames=4)
-    v = f.as_vector()
-    np.testing.assert_array_equal(v[:2], f.mean)
-    np.testing.assert_array_equal(v[2:4], f.maximum)
-    np.testing.assert_array_equal(v[4:6], f.minimum)
-    np.testing.assert_array_equal(v[6:8], f.std)
-    np.testing.assert_array_equal(v[8:10], f.rms)
-
-
-def test_feature_invariants_enforced():
-    with pytest.raises(DataError, match="min <= mean <= max"):
-        extract_features(np.zeros((5, 1)), 0).__class__(
-            mean=np.array([2.0]),
-            maximum=np.array([1.0]),
-            minimum=np.array([0.0]),
-            std=np.array([0.1]),
-            rms=np.array([1.0]),
-        )
+    v = extract_feature_matrix(frames, context_frames=4)[3]
+    chunk = frames[1:5]
+    np.testing.assert_array_equal(v[:2], chunk.mean(axis=0))
+    np.testing.assert_array_equal(v[2:4], chunk.max(axis=0))
+    np.testing.assert_array_equal(v[4:6], chunk.min(axis=0))
+    np.testing.assert_array_equal(v[6:8], chunk.std(axis=0))
+    np.testing.assert_array_equal(v[8:10], np.sqrt((chunk**2).mean(axis=0)))
 
 
 @pytest.mark.parametrize("context", [1, 9, 10, 100])
 def test_feature_matrix_matches_per_frame(context):
     rng = np.random.default_rng(2)
-    frames = rng.normal(size=(57, 4))
-    mat = extract_feature_matrix(frames, context)
-    for t in range(57):
-        np.testing.assert_allclose(
-            mat[t], extract_features(frames, t, context).as_vector(), atol=1e-12
-        )
+    for n in (57, 5):
+        frames = rng.normal(size=(n, 4))
+        mat = extract_feature_matrix(frames, context)
+        assert mat.shape == (n, 20)
+        for t in range(n):
+            np.testing.assert_allclose(
+                mat[t], reference_features(frames, t, context), atol=1e-12
+            )
+
+
+@pytest.mark.parametrize("value", [0.1, 0.7, 1.1])
+def test_feature_matrix_constant_channel_at_edges(value):
+    # rounding can put the mean of a constant channel just past its
+    # extremes; that must still give finite features, not an error
+    mat = extract_feature_matrix(np.full((40, 2), value), 9)
+    assert np.isfinite(mat).all()
+    np.testing.assert_allclose(mat[:, :6], value, rtol=1e-12)
+    np.testing.assert_allclose(mat[:, 6:8], 0.0, atol=1e-12)
+    np.testing.assert_allclose(mat[:, 8:], value, rtol=1e-12)
+
+
+# sha256 of the feature matrix, smoothed probabilities and collapsed window
+# tokens for one fixed tiny recording; any edit that changes a bit of the
+# baseline's output changes one of these
+PINNED_BASELINE_DIGESTS = {
+    "features": "3f8dc9d30d121e31e0340d5880b82cc4ab8c0a0cfb865a8cbffd7243618ee42d",
+    "probs": "aa6564507b67a086a45b9631386817a464a1a8d8c3100f35bc92c2fec784148d",
+    "tokens": "6bec82a3a1ba6db536c12acf7716a6516d27a6f563accbcfc3de163faf1c0705",
+}
+
+
+def test_baseline_bytes_are_pinned():
+    spec = SynthSpec(n_subjects=1, trials_per_subject=1, duration_s=8.0,
+                     sample_rate_hz=10.0, n_channels=3)
+    labeled = synthesize_dataset(spec, seed=7).recordings[0]
+    rec = labeled.recording
+    features = extract_feature_matrix(rec, 5)
+    clf = train_pointwise([labeled], PointwiseTrainConfig(context_frames=5, max_epochs=3, seed=0))
+    track = smooth(clf.track(rec), KaiserSmoother(5, 4.0))
+    windows = make_windows(rec, WindowSpec(sample_rate_hz=10.0), mode="test")
+    tokens = [[int(t) for t in p.tokens] for p in collapse_windows(track, windows)]
+    digests = {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in [("features", features.tobytes()), ("probs", track.probs.tobytes()),
+                           ("tokens", json.dumps(tokens).encode())]
+    }
+    assert digests == PINNED_BASELINE_DIGESTS
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +269,17 @@ def test_smooth_matches_direct_convolution():
     track = random_track(rng, 40)
     for L, beta in [(5, 0.0), (9, 4.0), (15, 7.0)]:
         got = smooth(track, KaiserSmoother(L, beta))
+        ref = reference_smooth(track.probs, kaiser_weights(L, beta))
+        np.testing.assert_allclose(got.probs, ref, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_smooth_track_shorter_than_smoother(n):
+    rng = np.random.default_rng(11)
+    track = random_track(rng, n)
+    for L, beta in [(9, 4.0), (21, 0.0)]:
+        got = smooth(track, KaiserSmoother(L, beta))
+        assert got.probs.shape == (n, 5)
         ref = reference_smooth(track.probs, kaiser_weights(L, beta))
         np.testing.assert_allclose(got.probs, ref, atol=1e-12)
 
@@ -424,7 +466,7 @@ def test_train_pointwise_empty():
 
 def test_train_config_validation():
     with pytest.raises(DataError):
-        PointwiseTrainConfig(learning_rate=0.0)
+        PointwiseTrainConfig(max_epochs=0)
     with pytest.raises(DataError):
         PointwiseTrainConfig(context_frames=0)
 

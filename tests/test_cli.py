@@ -295,6 +295,32 @@ def test_zero_norm_quaternion_in_frames_file_exits_1(tmp_path, capsys):
     assert f"error: {frames_path}: zero-norm quaternion" in capsys.readouterr().err
 
 
+BASELINE = {"with_baseline": True, "baseline_context_frames": 9, "smoother_length": 9}
+
+
+def test_eval_with_baseline_on_constant_edge_channel(tmp_path):
+    # rounding puts the edge-frame mean of a constant 0.1 channel just past
+    # its extremes; the baseline features must still come out finite
+    cfg = mini_config(tmp_path, **BASELINE)
+    data = synthesize_dataset(SynthSpec(n_subjects=6, trials_per_subject=1, duration_s=30.0,
+                                        sample_rate_hz=20.0, n_channels=10), seed=5)
+    for labeled in data.recordings:
+        frames = np.array(labeled.recording.frames)
+        frames[:10, 0] = 0.1
+        labeled.recording = labeled.recording.with_frames(frames)
+    save_dataset(data, tmp_path / "data")
+    for command in ["train", "predict", "eval"]:
+        assert main([command, "--config", str(cfg)]) == 0
+    assert "overall" in json.loads((tmp_path / "out" / "report.json").read_text())["baseline"]
+
+
+def test_eval_with_baseline_on_recordings_shorter_than_smoother(tmp_path):
+    cfg = mini_config(tmp_path, duration_s=0.4, **BASELINE)  # 8 frames, 9 taps
+    for command in ["synth", "train", "predict", "eval"]:
+        assert main([command, "--config", str(cfg)]) == 0
+    assert "overall" in json.loads((tmp_path / "out" / "report.json").read_text())["baseline"]
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pipeline")

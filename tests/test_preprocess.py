@@ -19,6 +19,7 @@ from primcount.dataset import (
     synthetic_manifest,
 )
 from primcount.preprocess import (
+    MAX_TOKENS,
     NormalizationStats,
     TargetSequence,
     Window,
@@ -499,10 +500,8 @@ class TestDeriveTargetSequence:
         for i in range(40):
             segments.append(seg(pos, pos + 10, classes[i % 2]))
             pos += 10
-        target = derive_target_sequence(
-            segments, window_for_core(0, 400), max_tokens=16
-        )
-        assert len(target) == 16
+        target = derive_target_sequence(segments, window_for_core(0, 400))
+        assert len(target) == MAX_TOKENS == 16
 
     def test_matches_synthetic_labels(self):
         spec = SynthSpec(n_subjects=1, trials_per_subject=1, duration_s=30.0,
