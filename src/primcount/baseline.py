@@ -18,6 +18,9 @@ from .decoding import WindowPrediction
 from .model import Adam, TrainingError, _softmax
 from .preprocess import Window
 
+_ROWS = 1024  # sliding-view rows reduced at once; bounds the reductions' temporaries
+
+
 def _stats(a: np.ndarray, axis: int) -> np.ndarray:
     """Mean, max, min, std and rms along ``axis``, stat-major on the last axis."""
     return np.concatenate(
@@ -33,9 +36,9 @@ def extract_feature_matrix(recording, context_frames: int = 100) -> np.ndarray:
     Frame t is described by the mean, max, min, std and rms of each
     channel over the context [t - context_frames//2, t - context_frames//2
     + context_frames), stat-major: all means, then all maxima, and so on.
-    Interior frames, whose context fits the recording, are reduced in one
-    pass over a sliding view; each edge frame reduces its context clamped
-    to the recording.
+    Interior frames, whose context fits the recording, are reduced over a
+    sliding view, _ROWS frames at a time; each edge frame reduces its
+    context clamped to the recording.
     """
     frames = np.asarray(getattr(recording, "frames", recording), dtype=np.float64)
     n, C = frames.shape
@@ -44,7 +47,8 @@ def extract_feature_matrix(recording, context_frames: int = 100) -> np.ndarray:
     if context_frames <= n:
         lo, hi = half, n - context_frames + half + 1
         view = np.lib.stride_tricks.sliding_window_view(frames, context_frames, axis=0)
-        out[lo:hi] = _stats(view, axis=2)  # view: (n - context + 1, C, context)
+        for r in range(0, hi - lo, _ROWS):  # view: (n - context + 1, C, context)
+            out[lo:hi][r : r + _ROWS] = _stats(view[r : r + _ROWS], axis=2)
     else:
         lo = hi = n
     for t in [*range(lo), *range(hi, n)]:

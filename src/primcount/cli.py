@@ -331,6 +331,7 @@ def _score(labeled: LabeledRecording, tokens) -> AlignmentRecord:
 
 
 def cmd_synth(cfg: RunConfig, args) -> int:
+    """Write a synthetic dataset to the data directory."""
     spec = SynthSpec(
         n_subjects=cfg.n_subjects,
         trials_per_subject=cfg.trials_per_subject,
@@ -351,6 +352,7 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 
 
 def cmd_train(cfg: RunConfig, args) -> int:
+    """Train the fold ensemble on the non-held-out subjects."""
     dataset = _require_dataset(cfg)
     pool, test = holdout_split(dataset.subjects, cfg.test_fraction, cfg.seed)
     pool_recordings = _by_subject(dataset.recordings, pool)
@@ -377,6 +379,7 @@ def cmd_train(cfg: RunConfig, args) -> int:
 
 
 def cmd_predict(cfg: RunConfig, args) -> int:
+    """Decode the held-out recordings into sequences.jsonl."""
     dataset = _require_dataset(cfg)
     out_dir = Path(cfg.out_dir)
     ensemble = load_ensemble(ensemble_paths(out_dir))
@@ -432,6 +435,7 @@ def _count_rows(pairs) -> tuple[list[list], list[dict]]:
 
 
 def cmd_count(cfg: RunConfig, args) -> int:
+    """Count each held-out recording's primitives into counts.csv."""
     dataset = _require_dataset(cfg)
     out_dir = Path(cfg.out_dir)
     pairs = _load_sequences(out_dir, dataset)
@@ -483,6 +487,7 @@ def _baseline_block(cfg: RunConfig, dataset, pool, test_recordings) -> dict:
 
 
 def cmd_eval(cfg: RunConfig, args) -> int:
+    """Score the sequences, and the baseline, into report.json."""
     dataset = _require_dataset(cfg)
     out_dir = Path(cfg.out_dir)
     pairs = _load_sequences(out_dir, dataset)
@@ -611,6 +616,7 @@ def stream_replay(
 
 
 def cmd_stream(cfg: RunConfig, args) -> int:
+    """Replay one recording window by window, as if live."""
     dataset = _require_dataset(cfg)
     out_dir = Path(cfg.out_dir)
     ensemble = load_ensemble(ensemble_paths(out_dir))

@@ -14,10 +14,10 @@ import numpy as np
 
 from .dataset import CLASSES, DataError, PrimitiveClass
 from .model import (
-    EOS_TOKEN, SOS_TOKEN, EnsembleModel, ModelParams, _encode_context, _fork_map,
+    EOS_TOKEN, SOS_TOKEN, EnsembleModel, ModelParams, _encode_batch, _fork_map,
     decode_step_batch,
 )
-from .preprocess import NormalizationStats, TargetSequence, Window, normalize_frames
+from .preprocess import TargetSequence, Window, _normalized_stack
 
 
 @dataclass(frozen=True)
@@ -83,27 +83,6 @@ def from_target(window: Window, target: TargetSequence) -> WindowPrediction:
                             tuple(target.tokens))
 
 
-def _normalized_stack(windows: list[Window], stats: NormalizationStats) -> np.ndarray:
-    """Time-major (T, B, D) float32 stack of the windows, each normalized
-    in float64 and rounded to float32 once."""
-    T, D = windows[0].frames.shape
-    xs = np.empty((T, len(windows), D), dtype=np.float32)
-    for b, w in enumerate(windows):
-        if w.frames.shape != (T, D):
-            raise DataError(
-                f"{w.recording_id}: window frames have shape {w.frames.shape}, "
-                f"the first window's have {(T, D)}"
-            )
-        with np.errstate(over="ignore"):  # an overflow is reported below
-            xs[:, b] = normalize_frames(w.frames, stats)
-        if not np.isfinite(xs[:, b]).all():
-            raise DataError(
-                f"{w.recording_id}: the window at frame {w.start_frame} "
-                "normalizes beyond the float32 range"
-            )
-    return xs
-
-
 def decode_windows(
     ensemble: EnsembleModel, windows: list[Window]
 ) -> list[WindowPrediction]:
@@ -127,7 +106,8 @@ def decode_windows(
     members = [(ModelParams(ensemble.config, params.vector.astype(np.float32)), stats)
                for params, stats in ensemble.members]
     states = _fork_map(
-        lambda params, stats: _encode_context(params, _normalized_stack(windows, stats)),
+        lambda params, stats: _encode_batch(
+            params, _normalized_stack(windows, stats, np.float32))[0],
         members,
         died=ChildProcessError,
     )

@@ -6,7 +6,10 @@ that vector into a primitive token sequence. Training is float64 and
 hand-differentiated, which keeps the model small, deterministic, and
 checkable against finite differences; model files hold float64 too.
 Inference runs the same code on a float32 copy of the parameters: the
-encoder and decoder compute in the dtype they are given.
+encoder and decoder compute in the dtype they are given. Windows reach
+the encoder only through `preprocess._normalized_stack`, raw window
+views z-scored with the member's own statistics: float64 for training
+batches, float32 for decoding.
 
 Vocabulary: the 5 primitive classes (codes 0..4) plus SOS=5 and EOS=6.
 """
@@ -31,7 +34,7 @@ from .preprocess import (
     TargetSequence,
     Window,
     WindowSpec,
-    apply_normalization,
+    _normalized_stack,
     derive_target_sequence,
     fit_normalization,
     make_windows,
@@ -291,38 +294,19 @@ def _gru_backward(layers, tape: _GRUTape, dhs: np.ndarray, want_dx: bool, grads)
 # ---------------------------------------------------------------------------
 
 
-def _check_channels(params: ModelParams, X: np.ndarray) -> None:
-    """X is 3-d with the model's channel count on its last axis."""
-    if X.ndim != 3 or X.shape[2] != params.config.input_dim:
+def _encode_batch(params: ModelParams, xs: np.ndarray, keep_tape: bool = False):
+    """xs: (T, B, D), time-major -> (context (B, H) in the dtype of xs,
+    what backprop needs with keep_tape, else None)."""
+    if xs.ndim != 3 or xs.shape[2] != params.config.input_dim:
         raise DataError(
-            f"encoder input has {X.shape[-1]} channels, "
+            f"encoder input has {xs.shape[-1]} channels, "
             f"model expects {params.config.input_dim}"
         )
-
-
-def _context(params: ModelParams, h: np.ndarray):
-    """Final states of both directions (2, B, H) -> (cat (B, 2H), context (B, H))."""
-    cat = np.concatenate((h[0], h[1]), axis=1)
-    return cat, np.tanh(cat @ params.ctx_W + params.ctx_b)
-
-
-def _encode_batch(params: ModelParams, X: np.ndarray):
-    """X: (B, T, D) -> context (B, H) plus the tape for backprop."""
-    _check_channels(params, X)
-    xs = np.ascontiguousarray(X.transpose(1, 0, 2))
-    h0 = np.zeros((2, X.shape[0], params.config.hidden_dim))
-    h, tape = _gru_forward((params.enc_fwd, params.enc_bwd), xs, h0)
-    cat, ctx = _context(params, h)
-    return ctx, (tape, cat)
-
-
-def _encode_context(params: ModelParams, xs: np.ndarray) -> np.ndarray:
-    """xs: (T, B, D), time-major -> context (B, H) in the dtype of xs;
-    keeps only the running states."""
-    _check_channels(params, xs)
     h0 = np.zeros((2, xs.shape[1], params.config.hidden_dim), dtype=xs.dtype)
-    h, _ = _gru_forward((params.enc_fwd, params.enc_bwd), xs, h0, keep_tape=False)
-    return _context(params, h)[1]
+    h, tape = _gru_forward((params.enc_fwd, params.enc_bwd), xs, h0, keep_tape)
+    cat = np.concatenate((h[0], h[1]), axis=1)  # final states of both directions
+    ctx = np.tanh(cat @ params.ctx_W + params.ctx_b)
+    return ctx, ((tape, cat) if keep_tape else None)
 
 
 def _encode_backward(
@@ -401,7 +385,9 @@ def _batch_forward_backward(
     B = X.shape[0]
     in_tokens, sup, mask = _teacher_arrays(targets)
     K = in_tokens.shape[1]
-    ctx, enc_tapes = _encode_batch(params, X)
+    # no copy when X is a transposed time-major stack, as train_member passes
+    ctx, enc_tapes = _encode_batch(params, np.ascontiguousarray(X.transpose(1, 0, 2)),
+                                   keep_tape=True)
     xs = np.ascontiguousarray(params.embed[in_tokens].transpose(1, 0, 2))
     _, dec_tape = _gru_forward((params.dec,), xs, ctx[None])
     hs = dec_tape.hs[0]  # (K, B, H)
@@ -641,16 +627,10 @@ def train_member(
         raise DataError("fold has an empty train or validation side")
 
     stats = fit_normalization([r.recording for r in train_recs])
-    normalized_train = [
-        LabeledRecording(apply_normalization(r.recording, stats), list(r.segments))
-        for r in train_recs
-    ]
-    train_pairs = windows_and_targets(normalized_train, data.window_spec, mode="train")
-    # validation windows stay raw; decode_windows applies member normalization
+    # windows are raw views; each batch, like decode_windows, normalizes its own
+    train_pairs = windows_and_targets(train_recs, data.window_spec, mode="train")
     val_pairs = windows_and_targets(val_recs, data.window_spec, mode="test")
-
-    # window views into normalized_train; each batch is stacked on its own
-    frames = [w.frames for w, _ in train_pairs]
+    windows = [w for w, _ in train_pairs]
     targets = [t.codes() for _, t in train_pairs]
     n = len(train_pairs)
 
@@ -671,8 +651,9 @@ def train_member(
         loss_sum = 0.0
         for lo in range(0, n, train_config.batch_size):
             idx = order[lo : lo + train_config.batch_size]
+            xs = _normalized_stack([windows[i] for i in idx], stats, np.float64)
             batch_loss, grads = _batch_forward_backward(
-                params, np.stack([frames[i] for i in idx]), [targets[i] for i in idx]
+                params, xs.transpose(1, 0, 2), [targets[i] for i in idx]
             )
             if not math.isfinite(batch_loss):
                 raise TrainingError(

@@ -94,10 +94,26 @@ def normalize_frames(frames: np.ndarray, stats: NormalizationStats) -> np.ndarra
     return np.divide(out, stats.std, out=out)
 
 
-def apply_normalization(
-    recording: IMURecording, stats: NormalizationStats
-) -> IMURecording:
-    return recording.with_frames(normalize_frames(recording.frames, stats))
+def _normalized_stack(windows: list[Window], stats: NormalizationStats, dtype) -> np.ndarray:
+    """Time-major (T, B, D) stack of the windows in ``dtype``, each
+    normalized in float64 and cast once: the only way windows become
+    encoder input (float64 training batches, float32 decoding)."""
+    T, D = windows[0].frames.shape
+    xs = np.empty((T, len(windows), D), dtype=dtype)
+    for b, w in enumerate(windows):
+        if w.frames.shape != (T, D):
+            raise DataError(
+                f"{w.recording_id}: window frames have shape {w.frames.shape}, "
+                f"the first window's have {(T, D)}"
+            )
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            xs[:, b] = normalize_frames(w.frames, stats)
+        if not np.isfinite(xs[:, b]).all():
+            raise DataError(
+                f"{w.recording_id}: the window at frame {w.start_frame} "
+                f"normalizes beyond the {xs.dtype} range"
+            )
+    return xs
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,12 @@ import hashlib
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import primcount.baseline as baseline_mod
 from primcount.baseline import (
     KaiserSmoother,
     LogisticPointwise,
@@ -155,6 +157,32 @@ def test_feature_matrix_constant_channel_at_edges(value):
     np.testing.assert_allclose(mat[:, :6], value, rtol=1e-12)
     np.testing.assert_allclose(mat[:, 6:8], 0.0, atol=1e-12)
     np.testing.assert_allclose(mat[:, 8:], value, rtol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 256, 1024])
+def test_feature_matrix_bitwise_equal_across_row_chunks(monkeypatch, rows):
+    # reducing the sliding view in chunks of rows changes no bit of a
+    # reduction over the whole view
+    rng = np.random.default_rng(4)
+    for n, channels, context in [(3000, 5, 100), (1200, 3, 9), (300, 2, 1), (2100, 1, 64)]:
+        frames = rng.normal(size=(n, channels))
+        monkeypatch.setattr(baseline_mod, "_ROWS", n)
+        whole = extract_feature_matrix(frames, context)
+        monkeypatch.setattr(baseline_mod, "_ROWS", rows)
+        assert extract_feature_matrix(frames, context).tobytes() == whole.tobytes()
+
+
+def test_feature_matrix_memory_bounded():
+    # 6000 x 12 frames (0.58 MB) at context 100 give a 2.9 MB matrix; the
+    # whole-view reduction peaked at 62.4 MB
+    frames = np.random.default_rng(3).normal(size=(6000, 12))
+    tracemalloc.start()
+    try:
+        extract_feature_matrix(frames, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6, peak / 1e6
 
 
 # sha256 of the feature matrix, smoothed probabilities and collapsed window

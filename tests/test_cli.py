@@ -498,6 +498,16 @@ def test_non_finite_normalization_in_model_file_exits_1(pipeline, tmp_path, caps
     assert "mean/std must be finite" in capsys.readouterr().err
 
 
+def test_help_gives_every_command_a_summary(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    lines = [line.split(None, 1) for line in capsys.readouterr().out.splitlines()]
+    for name in cli_mod.COMMANDS:
+        summaries = [words[1].strip() for words in lines if words[:1] == [name] and len(words) == 2]
+        assert summaries and summaries[0], name
+
+
 def test_killed_encoding_worker_exits_1(pipeline, tmp_path, monkeypatch, capsys):
     import os
     import signal
@@ -511,7 +521,7 @@ def test_killed_encoding_worker_exits_1(pipeline, tmp_path, monkeypatch, capsys)
     def killed(params, xs):
         os.kill(os.getpid(), signal.SIGKILL)
 
-    monkeypatch.setattr(decoding_mod, "_encode_context", killed)
+    monkeypatch.setattr(decoding_mod, "_encode_batch", killed)
     assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert "error: member 0 worker exited with code -9" in capsys.readouterr().err
 

@@ -29,7 +29,7 @@ from primcount.model import (
     SOS_TOKEN,
     EnsembleModel,
     ModelConfig,
-    _encode_context,
+    _encode_batch,
     decode_step_batch,
     init_params,
     load_ensemble,
@@ -74,7 +74,7 @@ def ref_decode_windows_f64(ensemble, windows):
     """Greedy ensemble decode in float64, in this process (reference):
     the members' own params, one normalized time-major stack each."""
     raw = np.stack([w.frames for w in windows], axis=1)  # (T, B, D)
-    states = [_encode_context(params, normalize_frames(raw, stats))
+    states = [_encode_batch(params, normalize_frames(raw, stats))[0]
               for params, stats in ensemble.members]
     B = len(windows)
     prev = np.full(B, SOS_TOKEN)
@@ -171,14 +171,14 @@ class TestDecodeWindow:
             (init_params(CFG, seed), NormalizationStats(rng.normal(size=4), rng.uniform(0.5, 2.0, 4)))
             for seed in (1, 2)
         ])
-        encode = decoding_mod._encode_context
+        encode = decoding_mod._encode_batch
 
         def recording_encode(params, xs):
             i = member_index(ensemble.members, params)
             np.save(tmp_path / f"member{i}.npy", xs)
             return encode(params, xs)
 
-        monkeypatch.setattr(decoding_mod, "_encode_context", recording_encode)
+        monkeypatch.setattr(decoding_mod, "_encode_batch", recording_encode)
         decode_windows(ensemble, windows)
         raw = np.stack([w.frames for w in windows], axis=1)
         for i, (_, stats) in enumerate(ensemble.members):
@@ -264,14 +264,14 @@ class TestEncodingWorkers:
         import primcount.decoding as decoding_mod
 
         members = self.members()
-        original = decoding_mod._encode_context
+        original = decoding_mod._encode_batch
 
         def member_2_fails(params, xs):
             if member_index(members, params) == 2:
                 raise DataError("member 2 cannot encode")
             return original(params, xs)
 
-        monkeypatch.setattr(decoding_mod, "_encode_context", member_2_fails)
+        monkeypatch.setattr(decoding_mod, "_encode_batch", member_2_fails)
         with pytest.raises(DataError, match="^member 2 cannot encode$"):
             decode_windows(EnsembleModel(CFG, members), toy_windows(3))
         assert multiprocessing.active_children() == []
@@ -284,14 +284,14 @@ class TestEncodingWorkers:
         import primcount.decoding as decoding_mod
 
         members = self.members()
-        original = decoding_mod._encode_context
+        original = decoding_mod._encode_batch
 
         def member_1_killed(params, xs):
             if member_index(members, params) == 1:
                 os.kill(os.getpid(), signal.SIGKILL)
             return original(params, xs)
 
-        monkeypatch.setattr(decoding_mod, "_encode_context", member_1_killed)
+        monkeypatch.setattr(decoding_mod, "_encode_batch", member_1_killed)
         with pytest.raises(ChildProcessError, match="member 1 worker exited with code -9"):
             decode_windows(EnsembleModel(CFG, members), toy_windows(3))
         assert multiprocessing.active_children() == []

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import pickle
@@ -28,7 +29,6 @@ from primcount.model import (
     TrainingError,
     _batch_forward_backward,
     _encode_batch,
-    _encode_context,
     _encode_array,
     _fork_map,
     _gru_backward,
@@ -47,7 +47,7 @@ from primcount.model import (
     train_member,
     zero_params,
 )
-from primcount.preprocess import NormalizationStats, WindowSpec
+from primcount.preprocess import NormalizationStats, WindowSpec, make_windows
 
 
 def scalar_gru_step(p, x, h):
@@ -91,11 +91,8 @@ def scalar_encode(params, frames):
 
 
 def encode_one(params, frames):
-    """Context vector of one window through the inference encoder, which
-    must match the training encoder bit for bit."""
-    ctx = _encode_context(params, frames[:, None])  # time-major
-    np.testing.assert_array_equal(ctx, _encode_batch(params, frames[None])[0])
-    return ctx[0]
+    """Context vector of one window (T, D) through the encoder."""
+    return _encode_batch(params, frames[:, None])[0][0]  # time-major, B=1
 
 
 def ref_sigmoid(x):
@@ -263,9 +260,9 @@ class TestBranchFreeSigmoid:
         cfg = ModelConfig(input_dim=77, hidden_dim=64, embed_dim=32)
         params = ModelParams(cfg, init_params(cfg, 2).vector.astype(np.float32))
         xs = np.random.default_rng(5).normal(size=(600, 30, 77)).astype(np.float32)
-        ctx = _encode_context(params, xs)
+        ctx, _ = _encode_batch(params, xs)
         calls = self._patch_reference(monkeypatch)
-        assert ctx.tobytes() == _encode_context(params, xs).tobytes()
+        assert ctx.tobytes() == _encode_batch(params, xs)[0].tobytes()
         assert len(calls) == 600
 
     def test_fit_small_shape_loss_and_gradients_bitwise_equal(self, monkeypatch):
@@ -309,9 +306,8 @@ class TestEncode:
 
     def test_shape_mismatch_rejected(self):
         params = init_params(TINY, 0)
-        for encode in (_encode_batch, _encode_context):
-            with pytest.raises(DataError, match="channels"):
-                encode(params, np.zeros((1, 10, 5)))
+        with pytest.raises(DataError, match="channels"):
+            _encode_batch(params, np.zeros((10, 1, 5)))
 
 
 class TestDecodeStep:
@@ -403,11 +399,11 @@ class TestSequenceLoss:
         assert abs(loss - math.log(7)) < 1e-12
 
     def test_matches_unrolled_public_api(self):
-        # hand-unroll teacher forcing through _encode_context + decode_step_batch
+        # hand-unroll teacher forcing through _encode_batch + decode_step_batch
         params = init_params(TINY, 11)
         frames = np.random.default_rng(12).normal(size=(9, 3))
         target = [1, 3]
-        state = _encode_context(params, frames[:, None])
+        state, _ = _encode_batch(params, frames[:, None])
         total = 0.0
         for prev, sup in zip([SOS_TOKEN, 1, 3], [1, 3, EOS_TOKEN]):
             probs, state = decode_step_batch(params, state, np.array([prev]))
@@ -510,7 +506,43 @@ def tiny_dataset(n_subjects=4, seed=5):
 TINY_TRAIN = ModelConfig(input_dim=6, hidden_dim=8, embed_dim=4)
 
 
+# sha256 of what train_member returns and of the tokens its member
+# decodes, for one tiny synthetic fold
+PINNED_TRAINING_DIGESTS = {
+    "params": "018d9565968d5e40f050a63c8970547282669704e83e028a8faa9d9a8e5421ea",
+    "stats": "7291475c8ad334e1363c450b7d5f2f8d4d324b27a032dd1939d1a5fec2be1082",
+    "log": "8a1508b69aacb31a75e036d01e8a79d8bd14eeee74d1eaf63b940763f0a7db4f",
+    "tokens": "923138bf849fdba5ce9c2dbe60c48d8b87ea0918eea8dc4bdbdc275d886bc10c",
+}
+
+
 class TestTrainMember:
+    def test_trained_bytes_are_pinned(self):
+        # 12-s recordings at 10 Hz: train windows are views and padded edge
+        # copies; validation and decoding run the float32 decode
+        from primcount.decoding import decode_windows
+
+        spec = SynthSpec(n_subjects=3, trials_per_subject=1, duration_s=12.0,
+                         sample_rate_hz=10.0, n_channels=3)
+        ds = synthesize_dataset(spec, seed=7)
+        data = TrainingData(tuple(ds.recordings), WindowSpec(sample_rate_hz=10.0))
+        fold = DatasetSplit(frozenset({"s00", "s01"}), frozenset({"s02"}))
+        cfg = ModelConfig(input_dim=3, hidden_dim=4, embed_dim=3, max_decode_len=5)
+        params, stats, log = train_member(
+            fold, data, cfg,
+            TrainConfig(learning_rate=1e-2, batch_size=4, max_epochs=3, patience=3, seed=7))
+        windows = [w for r in ds.recordings for w in make_windows(r.recording, data.window_spec)]
+        preds = decode_windows(EnsembleModel(cfg, [(params, stats)]), windows)
+        tokens = [[int(t) for t in p.tokens] for p in preds]
+        digests = {
+            name: hashlib.sha256(data).hexdigest()
+            for name, data in [("params", params.vector.tobytes()),
+                               ("stats", json.dumps(stats.to_json()).encode()),
+                               ("log", json.dumps([e.to_json() for e in log]).encode()),
+                               ("tokens", json.dumps(tokens).encode())]
+        }
+        assert digests == PINNED_TRAINING_DIGESTS
+
     def test_patience_stops_training(self):
         data = tiny_dataset()
         fold = DatasetSplit(frozenset({"s00", "s01", "s02"}), frozenset({"s03"}))
@@ -709,7 +741,7 @@ class TestFloat32Inference:
     def test_encode_context_returns_the_dtype_it_was_given(self, dtype):
         params = ModelParams(TINY, init_params(TINY, 4).vector.astype(dtype))
         xs = np.random.default_rng(0).normal(size=(7, 2, 3)).astype(dtype)
-        assert _encode_context(params, xs).dtype == dtype
+        assert _encode_batch(params, xs)[0].dtype == dtype
 
     def test_paper_shape_contexts_match_float64(self):
         # T=600, B=30, D=77, H=64; the float32 encoder stays within 1e-5
@@ -717,9 +749,9 @@ class TestFloat32Inference:
         cfg = ModelConfig(input_dim=77, hidden_dim=64, embed_dim=32)
         params = init_params(cfg, 2)
         xs = np.random.default_rng(5).normal(size=(600, 30, 77))
-        ctx64 = _encode_context(params, xs)
-        ctx32 = _encode_context(ModelParams(cfg, params.vector.astype(np.float32)),
-                                xs.astype(np.float32))
+        ctx64, _ = _encode_batch(params, xs)
+        ctx32, _ = _encode_batch(ModelParams(cfg, params.vector.astype(np.float32)),
+                                 xs.astype(np.float32))
         np.testing.assert_allclose(ctx32, ctx64, rtol=0, atol=1e-5)
 
 
@@ -728,10 +760,10 @@ class TestForkMap:
         cfg = ModelConfig(input_dim=77, hidden_dim=64, embed_dim=32)
         rng = np.random.default_rng(3)
         jobs = [(init_params(cfg, s), rng.normal(size=(600, 8, 77))) for s in range(4)]
-        forked = _fork_map(_encode_context, jobs)
+        forked = _fork_map(_encode_batch, jobs)
         assert len(forked) == 4
-        for (params, xs), ctx in zip(jobs, forked):
-            assert ctx.tobytes() == _encode_context(params, xs).tobytes()
+        for (params, xs), (ctx, _) in zip(jobs, forked):
+            assert ctx.tobytes() == _encode_batch(params, xs)[0].tobytes()
 
     def test_closures_run_in_workers_and_return_in_job_order(self):
         import os

@@ -24,7 +24,7 @@ from primcount.preprocess import (
     TargetSequence,
     Window,
     WindowSpec,
-    apply_normalization,
+    _normalized_stack,
     derive_target_sequence,
     fit_normalization,
     make_windows,
@@ -216,8 +216,7 @@ class TestNormalization:
         stats = fit_normalization([rec])
         np.testing.assert_allclose(stats.mean, 2.5)
         np.testing.assert_allclose(stats.std, 1.0)
-        out = apply_normalization(rec, stats)
-        np.testing.assert_allclose(out.frames, 0.0)
+        np.testing.assert_allclose(normalize_frames(rec.frames, stats), 0.0)
 
     def test_two_point_channel(self):
         frames = np.array([[-1.0], [1.0], [-1.0], [1.0]])
@@ -252,8 +251,7 @@ class TestNormalization:
             for i in range(3)
         ]
         stats = fit_normalization(recs)
-        normalized = [apply_normalization(r, stats) for r in recs]
-        stacked = np.concatenate([r.frames for r in normalized])
+        stacked = np.concatenate([normalize_frames(r.frames, stats) for r in recs])
         np.testing.assert_allclose(stacked.mean(axis=0), 0.0, atol=1e-6)
         np.testing.assert_allclose(stacked.var(axis=0), 1.0, atol=1e-6)
 
@@ -261,9 +259,30 @@ class TestNormalization:
         rng = np.random.default_rng(10)
         rec = IMURecording("s", "a", 0, 100.0, rng.normal(3.0, 2.0, size=(40, 5)))
         stats = fit_normalization([rec])
-        out = apply_normalization(rec, stats)
-        recovered = out.frames * stats.std + stats.mean
-        np.testing.assert_allclose(recovered, rec.frames, atol=1e-9)
+        windows = make_windows(rec, WindowSpec(sample_rate_hz=10.0), mode="test")
+        xs = _normalized_stack(windows, stats, np.float64)  # (T, B, D)
+        recovered = xs * stats.std + stats.mean
+        for b, w in enumerate(windows):
+            np.testing.assert_allclose(recovered[:, b], w.frames, atol=1e-9)
+
+    def test_float64_stack_rejects_mismatched_window_shapes(self):
+        stats = NormalizationStats(np.zeros(3), np.ones(3))
+        windows = [Window("rec/a/0", 0, 2, 8, np.zeros((10, 3))),
+                   Window("rec/b/1", 10, 2, 8, np.zeros((11, 3)))]
+        with pytest.raises(DataError, match=r"^rec/b/1: window frames have shape \(11, 3\), "
+                                            r"the first window's have \(10, 3\)$"):
+            _normalized_stack(windows, stats, np.float64)
+
+    def test_stack_overflow_names_the_dtype_range(self):
+        # 1e308 - (-1e308) is beyond float64
+        stats = NormalizationStats(np.full(3, -1e308), np.ones(3))
+        frames = np.zeros((10, 3))
+        frames[4, 1] = 1e308
+        windows = [Window("rec/a/0", 0, 2, 8, np.zeros((10, 3))),
+                   Window("rec/b/1", 7, 2, 8, frames)]
+        with pytest.raises(DataError, match="^rec/b/1: the window at frame 7 normalizes "
+                                            "beyond the float64 range$"):
+            _normalized_stack(windows, stats, np.float64)
 
     def test_dimension_mismatch_rejected(self):
         stats = NormalizationStats(np.zeros(3), np.ones(3))
