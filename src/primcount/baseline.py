@@ -18,7 +18,7 @@ from .decoding import WindowPrediction
 from .model import Adam, TrainingError, _softmax
 from .preprocess import Window
 
-_ROWS = 1024  # sliding-view rows reduced at once; bounds the reductions' temporaries
+_CHUNK_BYTES = 1 << 20  # sliding-view bytes reduced at once; bounds the reductions' temporaries
 
 
 def _stats(a: np.ndarray, axis: int) -> np.ndarray:
@@ -37,8 +37,8 @@ def extract_feature_matrix(recording, context_frames: int = 100) -> np.ndarray:
     channel over the context [t - context_frames//2, t - context_frames//2
     + context_frames), stat-major: all means, then all maxima, and so on.
     Interior frames, whose context fits the recording, are reduced over a
-    sliding view, _ROWS frames at a time; each edge frame reduces its
-    context clamped to the recording.
+    sliding view, about _CHUNK_BYTES of it at a time; each edge frame
+    reduces its context clamped to the recording.
     """
     frames = np.asarray(getattr(recording, "frames", recording), dtype=np.float64)
     n, C = frames.shape
@@ -47,8 +47,9 @@ def extract_feature_matrix(recording, context_frames: int = 100) -> np.ndarray:
     if context_frames <= n:
         lo, hi = half, n - context_frames + half + 1
         view = np.lib.stride_tricks.sliding_window_view(frames, context_frames, axis=0)
-        for r in range(0, hi - lo, _ROWS):  # view: (n - context + 1, C, context)
-            out[lo:hi][r : r + _ROWS] = _stats(view[r : r + _ROWS], axis=2)
+        rows = max(1, _CHUNK_BYTES // max(1, C * context_frames * 8))
+        for r in range(0, hi - lo, rows):  # view: (n - context + 1, C, context)
+            out[lo:hi][r : r + rows] = _stats(view[r : r + rows], axis=2)
     else:
         lo = hi = n
     for t in [*range(lo), *range(hi, n)]:

@@ -404,25 +404,9 @@ def _count_rows(pairs) -> tuple[list[list], list[dict]]:
         predicted = count(session)
         true = labeled.true_counts()
         err = counting_error(true, predicted)
-        for cls in CLASSES:
-            rows.append(
-                [
-                    session.recording_id,
-                    cls.label,
-                    true[cls],
-                    predicted[cls],
-                    repr(err.per_class[cls]),
-                ]
-            )
-        rows.append(
-            [
-                session.recording_id,
-                "all",
-                sum(true.values()),
-                predicted.total,
-                repr(err.pooled),
-            ]
-        )
+        rid = session.recording_id
+        rows += [[rid, c.label, true[c], predicted[c], repr(err.per_class[c])] for c in CLASSES]
+        rows.append([rid, "all", sum(true.values()), predicted.total, repr(err.pooled)])
         report_rows.append(
             {
                 "recording": session.recording_id,
@@ -453,16 +437,8 @@ def cmd_count(cfg: RunConfig, args) -> int:
 
 def _metric_row(group: str, gm) -> list:
     m = gm.micro
-    return [
-        group,
-        gm.group,
-        gm.n_records,
-        gm.n_subjects,
-        repr(m.sensitivity),
-        repr(m.fdr),
-        repr(m.f1),
-        repr(m.aer),
-    ]
+    return [group, gm.group, gm.n_records, gm.n_subjects,
+            *map(repr, (m.sensitivity, m.fdr, m.f1, m.aer))]
 
 
 def _baseline_block(cfg: RunConfig, dataset, pool, test_recordings) -> dict:
@@ -633,6 +609,7 @@ def cmd_stream(cfg: RunConfig, args) -> int:
             candidates = dataset.recordings
         target = sorted(candidates, key=lambda r: r.recording.recording_id)[0]
     speed = args.speed if args.speed is not None else 1.0
+    shown = "inf" if not math.isfinite(speed) else speed
     result = stream_replay(target.recording, ensemble, speed=speed, spec=cfg.window_spec())
     with open(out_dir / "stream_events.jsonl", "w") as fh:
         for event in result.events:
@@ -641,7 +618,7 @@ def cmd_stream(cfg: RunConfig, args) -> int:
         out_dir / "stream_report.json",
         {
             "recording": target.recording.recording_id,
-            "speed": "inf" if not math.isfinite(speed) else speed,
+            "speed": shown,
             "n_windows": len(result.events),
             "max_lag_s": result.max_lag_s,
             "counts": result.counts.to_json(),
@@ -649,8 +626,7 @@ def cmd_stream(cfg: RunConfig, args) -> int:
         },
     )
     print(
-        f"streamed {target.recording.recording_id} at speed "
-        f"{'inf' if not math.isfinite(speed) else speed}: "
+        f"streamed {target.recording.recording_id} at speed {shown}: "
         f"{len(result.events)} windows, max lag {result.max_lag_s:.3f} s"
     )
     return 0

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .parallel import _fork_map, _usable_cpus
+
 
 class DataError(ValueError):
     """Raised for malformed files or violated data invariants."""
@@ -756,6 +758,13 @@ def split_subjects(
 
 
 def save_dataset(dataset: SyntheticDataset, directory: str | Path) -> None:
+    """Write the manifest, the subjects and every recording under `directory`.
+
+    The recordings are split, in order, into min(recordings, usable CPUs)
+    contiguous groups, and `save_recording` writes each group in a forked
+    worker (`_fork_map`); the files are the same for any split. A writer
+    that dies raises ChildProcessError.
+    """
     directory = Path(directory)
     _write_json(directory / "manifest.json", dataset.manifest.to_json(), sort_keys=False)
     _write_json(
@@ -766,8 +775,12 @@ def save_dataset(dataset: SyntheticDataset, directory: str | Path) -> None:
         },
     )
     rec_dir = directory / "recordings"
-    for labeled in dataset.recordings:
-        save_recording(labeled, rec_dir, dataset.manifest)
+    rec_dir.mkdir(parents=True, exist_ok=True)
+    recs, n = dataset.recordings, min(len(dataset.recordings), _usable_cpus())
+    _fork_map(
+        lambda group: [save_recording(labeled, rec_dir, dataset.manifest) for labeled in group],
+        [(recs[len(recs) * k // n : len(recs) * (k + 1) // n],) for k in range(n)],
+    )
 
 
 def load_dataset(directory: str | Path) -> SyntheticDataset:

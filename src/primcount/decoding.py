@@ -14,9 +14,9 @@ import numpy as np
 
 from .dataset import CLASSES, DataError, PrimitiveClass
 from .model import (
-    EOS_TOKEN, SOS_TOKEN, EnsembleModel, ModelParams, _encode_batch, _fork_map,
-    decode_step_batch,
+    EOS_TOKEN, SOS_TOKEN, EnsembleModel, ModelParams, _encode_batch, decode_step_batch,
 )
+from .parallel import _fork_map
 from .preprocess import TargetSequence, Window, _normalized_stack
 
 
@@ -91,13 +91,14 @@ def decode_windows(
     Each member's parameters are cast to float32 once per call. Every
     member normalizes the windows with its own stats (in float64, then
     rounded to float32) and encodes them independently, each in a forked
-    worker process (`_fork_map`; one member encodes in this process); at
-    each step the members' token distributions are averaged, the argmax
-    (lowest code on ties, SOS excluded) is the shared prediction, EOS
-    stops a window, and the shared token feeds back into every member's
-    decoder. Windows of different shapes, or frames whose z-scores
-    overflow float32, raise DataError naming the recording. An encoding
-    worker that dies, killed for memory say, raises ChildProcessError.
+    worker process (`_fork_map`; a one-member ensemble encodes in the
+    calling process); at each step the members' token distributions are
+    averaged, the argmax (lowest code on ties, SOS excluded) is the
+    shared prediction, EOS stops a window, and the shared token feeds
+    back into every member's decoder. Windows of different shapes, or
+    frames whose z-scores overflow float32, raise DataError naming the
+    recording. An encoding worker that dies, killed for memory say,
+    raises ChildProcessError.
     """
     if not windows:
         return []
@@ -109,7 +110,6 @@ def decode_windows(
         lambda params, stats: _encode_batch(
             params, _normalized_stack(windows, stats, np.float32))[0],
         members,
-        died=ChildProcessError,
     )
 
     prev = np.full(B, SOS_TOKEN, dtype=np.int64)

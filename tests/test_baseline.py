@@ -166,9 +166,10 @@ def test_feature_matrix_bitwise_equal_across_row_chunks(monkeypatch, rows):
     rng = np.random.default_rng(4)
     for n, channels, context in [(3000, 5, 100), (1200, 3, 9), (300, 2, 1), (2100, 1, 64)]:
         frames = rng.normal(size=(n, channels))
-        monkeypatch.setattr(baseline_mod, "_ROWS", n)
+        row_bytes = channels * context * 8
+        monkeypatch.setattr(baseline_mod, "_CHUNK_BYTES", n * row_bytes)
         whole = extract_feature_matrix(frames, context)
-        monkeypatch.setattr(baseline_mod, "_ROWS", rows)
+        monkeypatch.setattr(baseline_mod, "_CHUNK_BYTES", rows * row_bytes)
         assert extract_feature_matrix(frames, context).tobytes() == whole.tobytes()
 
 
@@ -183,6 +184,20 @@ def test_feature_matrix_memory_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 20e6, peak / 1e6
+
+
+def test_feature_matrix_memory_bounded_at_paper_width():
+    # a 2-min, 77-channel, 100-Hz recording at context 100: chunks of
+    # 1024 rows peaked at 103 MB; beyond the 37 MB result, the reductions
+    # now hold about one chunk of _CHUNK_BYTES
+    frames = np.random.default_rng(0).normal(size=(12000, 77))
+    tracemalloc.start()
+    try:
+        out = extract_feature_matrix(frames, 100)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.nbytes + 2 * baseline_mod._CHUNK_BYTES, peak / 1e6
 
 
 # sha256 of the feature matrix, smoothed probabilities and collapsed window

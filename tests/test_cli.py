@@ -213,6 +213,22 @@ def test_synth_seed_changes_data(tmp_path):
     assert tree_bytes(tmp_path / "data") != first
 
 
+def test_failed_writer_exits_1_naming_the_path(tmp_path, monkeypatch, capsys):
+    import multiprocessing
+
+    from primcount import dataset, parallel
+
+    for module in (dataset, parallel):
+        monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
+    cfg = mini_config(tmp_path)
+    # the last of six recordings, written by the second of two forked writers
+    blocked = tmp_path / "data" / "recordings" / "s05__drill_a__0.csv"
+    blocked.mkdir(parents=True)
+    assert main(["synth", "--config", str(cfg)]) == 1
+    assert f"{blocked}" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
 def test_predict_without_models_fails(tmp_path):
     cfg = mini_config(tmp_path)
     assert main(["synth", "--config", str(cfg)]) == 0

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -41,6 +42,13 @@ from primcount.dataset import (
 )
 from primcount.model import ModelConfig, init_params, save_member
 from primcount.preprocess import WindowSpec, fit_normalization, make_windows
+
+
+def tree_digests(root: Path) -> dict[str, str]:
+    return {
+        p.relative_to(root).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in root.rglob("*") if p.is_file()
+    }
 
 
 class TestPrimitiveClass:
@@ -339,6 +347,43 @@ class TestFileIO:
             for p in tmp_path.rglob("*") if p.is_file()
         }
         assert digests == PINNED_DIGESTS
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_writer_count_changes_no_byte(self, tmp_path, monkeypatch, cpus):
+        import os
+
+        from primcount import parallel
+
+        for module in (dataset, parallel):
+            monkeypatch.setattr(module, "_usable_cpus", lambda: cpus)
+        spec = SynthSpec(n_subjects=2, trials_per_subject=1, duration_s=2.0,
+                         sample_rate_hz=10.0, n_channels=3)
+        save_dataset(synthesize_dataset(spec, seed=7), tmp_path / "data")
+        assert tree_digests(tmp_path / "data") == {
+            k.removeprefix("data/"): v for k, v in PINNED_DIGESTS.items() if k.startswith("data/")
+        }
+
+        # five recordings: min(5, cpus) writers, one per contiguous group
+        pids = tmp_path / "pids"
+        original = dataset.save_recording
+
+        def logged(labeled, *args):
+            with open(pids, "a") as fh:
+                fh.write(f"{labeled.recording_id} {os.getpid()}\n")
+            return original(labeled, *args)
+
+        monkeypatch.setattr(dataset, "save_recording", logged)
+        ds = synthesize_dataset(dataclasses.replace(spec, n_subjects=5), seed=7)
+        save_dataset(ds, tmp_path / "five")
+        log = [line.split() for line in pids.read_text().splitlines()]
+        assert sorted(rid for rid, _ in log) == sorted(r.recording_id for r in ds.recordings)
+        writers = {pid for _, pid in log}
+        assert len(writers) == min(5, cpus)
+        assert (str(os.getpid()) in writers) == (cpus == 1)
+        serial = tmp_path / "serial"
+        monkeypatch.setattr(dataset, "_usable_cpus", lambda: 1)
+        save_dataset(ds, serial)
+        assert tree_digests(tmp_path / "five") == tree_digests(serial)
 
     def test_header_only_frames_file(self, tmp_path):
         spec = SynthSpec(n_subjects=1, trials_per_subject=1, duration_s=2.0,
