@@ -10,7 +10,6 @@ are byte-identical.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -39,7 +38,9 @@ from .dataset import (
     SyntheticDataset,
     _read_json,
     _stream_rng,
+    _write_csv,
     _write_json,
+    _write_jsonl,
     load_dataset,
     save_dataset,
     synthesize_dataset,
@@ -388,9 +389,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
         raise DataError("no recordings for held-out subjects")
     t0 = time.perf_counter()
     sessions = predict_sessions(ensemble, test_recordings, cfg.window_spec())
-    with open(out_dir / "sequences.jsonl", "w") as fh:
-        for session in sessions:
-            fh.write(json.dumps(session.to_json(), sort_keys=True) + "\n")
+    _write_jsonl(out_dir / "sequences.jsonl", [s.to_json() for s in sessions])
     _record_timing(out_dir, "predict", time.perf_counter() - t0)
     print(f"decoded {len(sessions)} recordings -> {out_dir / 'sequences.jsonl'}")
     return 0
@@ -425,10 +424,8 @@ def cmd_count(cfg: RunConfig, args) -> int:
     pairs = _load_sequences(out_dir, dataset)
     t0 = time.perf_counter()
     rows, report_rows = _count_rows(pairs)
-    with open(out_dir / "counts.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["recording", "class", "true", "predicted", "error_pct"])
-        writer.writerows(rows)
+    _write_csv(out_dir / "counts.csv", ["recording", "class", "true", "predicted", "error_pct"],
+               rows)
     _write_json(out_dir / "counts.json", report_rows)
     _record_timing(out_dir, "count", time.perf_counter() - t0)
     print(f"counted {len(pairs)} recordings -> {out_dir / 'counts.csv'}")
@@ -471,15 +468,11 @@ def cmd_eval(cfg: RunConfig, args) -> int:
     records = [_score(labeled, session.tokens) for session, labeled in pairs]
     groups = {g: aggregate(records, group_by=g) for g in GROUPINGS}
     pooled = sum((r.tallies for r in records), OutcomeTallies())
-    with open(out_dir / "metrics.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["group_by", "group", "n_records", "n_subjects",
-             "sensitivity", "fdr", "f1", "aer"]
-        )
-        for name in GROUPINGS:
-            for gm in groups[name].values():
-                writer.writerow(_metric_row(name, gm))
+    _write_csv(
+        out_dir / "metrics.csv",
+        ["group_by", "group", "n_records", "n_subjects", "sensitivity", "fdr", "f1", "aer"],
+        [_metric_row(name, gm) for name in GROUPINGS for gm in groups[name].values()],
+    )
 
     _, counting = _count_rows(pairs)
     split = _read_split(out_dir)
@@ -526,11 +519,10 @@ class StreamResult:
     session: SessionPrediction
     counts: PrimitiveCounts
     events: list[dict]
-    lags_s: list[float]
 
     @property
     def max_lag_s(self) -> float:
-        return max(self.lags_s) if self.lags_s else 0.0
+        return max((e["lag_s"] for e in self.events), default=0.0)
 
 
 def stream_replay(
@@ -558,7 +550,6 @@ def stream_replay(
 
     stitched: list[PrimitiveClass] = []
     events = []
-    lags = []
     t0 = time.monotonic()
     for i, window in enumerate(windows):
         ready_frame = min(n, window.abs_core_end + spec.flank_frames)
@@ -572,8 +563,6 @@ def stream_replay(
         stitch_append(stitched, pred.tokens)
         emit = time.monotonic()
         core_end_wall = (window.abs_core_end / fs / speed) if throttled else 0.0
-        lag = (emit - t0) - core_end_wall
-        lags.append(lag)
         running = count(SessionPrediction(recording.recording_id, tuple(stitched)))
         events.append(
             {
@@ -584,11 +573,11 @@ def stream_replay(
                 "counts": running.to_json(),
                 "emit_monotonic_s": emit - t0,
                 "compute_s": emit - ready,
-                "lag_s": lag,
+                "lag_s": (emit - t0) - core_end_wall,
             }
         )
     session = SessionPrediction(recording.recording_id, tuple(stitched))
-    return StreamResult(session, count(session), events, lags)
+    return StreamResult(session, count(session), events)
 
 
 def cmd_stream(cfg: RunConfig, args) -> int:
@@ -611,9 +600,7 @@ def cmd_stream(cfg: RunConfig, args) -> int:
     speed = args.speed if args.speed is not None else 1.0
     shown = "inf" if not math.isfinite(speed) else speed
     result = stream_replay(target.recording, ensemble, speed=speed, spec=cfg.window_spec())
-    with open(out_dir / "stream_events.jsonl", "w") as fh:
-        for event in result.events:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
+    _write_jsonl(out_dir / "stream_events.jsonl", result.events)
     _write_json(
         out_dir / "stream_report.json",
         {

@@ -478,6 +478,18 @@ def _write_json(path: Path, obj, sort_keys: bool = True) -> None:
         fh.write("\n")
 
 
+def _write_jsonl(path: Path, rows) -> None:
+    with open(path, "w") as fh:
+        fh.writelines(json.dumps(row, sort_keys=True) + "\n" for row in rows)
+
+
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _load_segments(path: Path) -> list[PrimitiveSegment]:
     data = _read_json(path)
     if not isinstance(data, list):

@@ -245,10 +245,11 @@ def _gru_forward(layers, xs: np.ndarray, h0: np.ndarray, keep_tape: bool = True)
     return h, tape
 
 
-def _gru_backward(layers, tape: _GRUTape, dhs: np.ndarray, want_dx: bool, grads):
+def _gru_backward(layers, tape: _GRUTape, dhs: np.ndarray, want_dx: bool, grads,
+                  dh_last: np.ndarray | None = None):
     """Backprop through time. dhs (S, T, B, H): upstream gradient on every
-    state. Adds the parameter gradients into grads, one namespace of views
-    per layer.
+    state; dh_last (S, B, H), if given, is added to the last state's. Adds
+    the parameter gradients into grads, one namespace of views per layer.
 
     Returns (dxs or None, dh0): dxs (S, T, B, D) holds the gradient on the
     input each layer read at each step, dh0 (S, B, H) the one on h0.
@@ -258,7 +259,7 @@ def _gru_backward(layers, tape: _GRUTape, dhs: np.ndarray, want_dx: bool, grads)
     WT, UT = (np.ascontiguousarray(a.transpose(0, 2, 1)) for a in (W, U))
     gW, gU, gb = np.zeros_like(W), np.zeros_like(U), np.zeros((S, 3 * H))
     dxs = np.empty((S, T, B, W.shape[1])) if want_dx else None
-    dh_next = np.zeros((S, B, H))
+    dh_next = np.zeros((S, B, H)) if dh_last is None else dh_last
     for t in reversed(range(T)):
         dh = dhs[:, t] + dh_next
         x = tape.xs.take(tape.rows[t], axis=0)
@@ -317,10 +318,10 @@ def _encode_backward(
     grads.ctx_W += cat.T @ dpre
     grads.ctx_b += dpre.sum(axis=0)
     dcat = dpre @ params.ctx_W.T
-    dhs = np.zeros(tape.hs.shape)
-    dhs[0, -1], dhs[1, -1] = dcat[:, :H], dcat[:, H:]
+    # only the last states reach the context; 0 + dh has the bits of dh + 0
+    dhs = np.broadcast_to(tape.hs.dtype.type(0), tape.hs.shape)
     _gru_backward((params.enc_fwd, params.enc_bwd), tape, dhs, False,
-                  (grads.enc_fwd, grads.enc_bwd))
+                  (grads.enc_fwd, grads.enc_bwd), np.stack((dcat[:, :H], dcat[:, H:])))
 
 
 # ---------------------------------------------------------------------------

@@ -58,7 +58,7 @@ def _fork_map(fn, jobs: list[tuple], died: type[Exception] = ChildProcessError) 
                 error, result = recv.recv()
             except EOFError:
                 proc.join()
-                raise died(f"member {i} worker exited with code {proc.exitcode}") from None
+                raise died(f"job {i} worker exited with code {proc.exitcode}") from None
             if error is not None:
                 raise error
             results.append(result)

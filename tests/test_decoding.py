@@ -292,7 +292,7 @@ class TestEncodingWorkers:
             return original(params, xs)
 
         monkeypatch.setattr(decoding_mod, "_encode_batch", member_1_killed)
-        with pytest.raises(ChildProcessError, match="member 1 worker exited with code -9"):
+        with pytest.raises(ChildProcessError, match="job 1 worker exited with code -9"):
             decode_windows(EnsembleModel(CFG, members), toy_windows(3))
         assert multiprocessing.active_children() == []
 
@@ -305,6 +305,52 @@ class TestEncodingWorkers:
         monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", no_process)
         ensemble = EnsembleModel(CFG, self.members()[:1])
         assert len(decode_windows(ensemble, toy_windows(3))) == 3
+
+
+class TestBatchIndependence:
+    def test_window_bits_do_not_depend_on_the_batch(self, monkeypatch):
+        # Equal bits at any batch size rest on the BLAS choosing the same
+        # kernel for every batch of two or more rows; on a platform where
+        # it does not, this test fails rather than the outputs drifting.
+        import primcount.decoding as decoding_mod
+
+        cfg = ModelConfig(input_dim=77, hidden_dim=64, embed_dim=32)  # paper width
+        rng = np.random.default_rng(8)
+        windows = [Window("rec/a/0", 400 * k - 100, 100, 500, rng.normal(size=(600, 77)))
+                   for k in range(30)]
+        target, others = windows[0], windows[1:]
+        ensemble = EnsembleModel(cfg, [(init_params(cfg, 2), ident_stats(77))])
+        seen = {}
+
+        def encode(params, xs):
+            seen["rows"] = xs.shape[1]
+            ctx, _ = _encode_batch(params, xs)
+            seen["ctx"], seen["probs"] = ctx, []
+            return ctx, None
+
+        def step(params, states, prev):
+            probs, states = decode_step_batch(params, states, prev)
+            seen["probs"].append(probs)
+            return probs, states
+
+        monkeypatch.setattr(decoding_mod, "_encode_batch", encode)
+        monkeypatch.setattr(decoding_mod, "decode_step_batch", step)
+
+        def bits(batch, at):
+            """The target's context and per-step probabilities in `batch`."""
+            decode_windows(ensemble, batch)
+            return seen["ctx"][at].tobytes(), [p[at].tobytes() for p in seen["probs"]]
+
+        ctx, probs = bits([target], 0)
+        assert seen["rows"] == 2  # one window encodes as two copies of its row
+        for size in (2, 7, 30):
+            for at in (0, 1, size - 1):
+                batch = [*others[:at], target, *others[at : size - 1]]
+                batch_ctx, batch_probs = bits(batch, at)
+                assert seen["rows"] == size
+                assert batch_ctx == ctx, (size, at)
+                # a batch runs until its last window stops, so at least as long
+                assert batch_probs[: len(probs)] == probs, (size, at)
 
 
 class TestWindowPrediction:

@@ -30,6 +30,7 @@ from primcount.model import (
     _batch_forward_backward,
     _encode_batch,
     _encode_array,
+    _encode_backward,
     _fork_map,
     _gru_backward,
     _gru_forward,
@@ -308,6 +309,23 @@ class TestEncode:
         params = init_params(TINY, 0)
         with pytest.raises(DataError, match="channels"):
             _encode_batch(params, np.zeros((10, 1, 5)))
+
+    def test_backward_allocates_less_than_the_state_tape(self):
+        # the context reads only the last states, so the gradient on the
+        # other T - 1 steps is never stored
+        cfg = ModelConfig(input_dim=5, hidden_dim=16, embed_dim=4)
+        params = init_params(cfg, 0)
+        ctx, tapes = _encode_batch(
+            params, np.random.default_rng(0).normal(size=(300, 32, 5)), keep_tape=True)
+        dctx = np.random.default_rng(1).normal(size=ctx.shape)
+        grads = zero_params(cfg)
+        tracemalloc.start()
+        try:
+            _encode_backward(params, ctx, tapes, dctx, grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < tapes[0].hs.nbytes, (peak, tapes[0].hs.nbytes)
 
 
 class TestDecodeStep:
@@ -720,7 +738,7 @@ class TestTrainEnsemble:
 
         monkeypatch.setattr(model_mod, "train_member", killed)
         cfg = TrainConfig(max_epochs=1, patience=1, batch_size=8, seed=0)
-        with pytest.raises(TrainingError, match="member 0 worker exited with code -9"):
+        with pytest.raises(TrainingError, match="job 0 worker exited with code -9"):
             train_ensemble(tiny_dataset(), TINY_TRAIN, cfg, n_folds=2, seed=4)
         assert multiprocessing.active_children() == []
 
