@@ -1,8 +1,10 @@
 """Replaying a recording as a live stream.
 
 A producer clock releases frames at the recording's sample rate (or a
-multiple of it) and each window is decoded the moment its last flank
-frame exists. Stitching happens incrementally with one token of
+multiple of it), and a window is released once its last flank frame
+exists. Each turn decodes every window released by then in one call,
+so an unthrottled replay decodes the recording in one call, as the
+batch path does. Stitching happens incrementally with one token of
 lookback, which is exactly what the batch path does, so the streamed
 session is bitwise the batch session. Lag per window = wait for the
 trailing flank (1 s) + the core length (4 s) + compute.

@@ -16,6 +16,7 @@ import math
 import platform
 import sys
 import time
+from bisect import bisect_right
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -270,6 +271,13 @@ def _by_subject(recordings, subjects) -> list[LabeledRecording]:
     return [r for r in recordings if r.recording.subject_id in wanted]
 
 
+def _held_out(dataset: SyntheticDataset, out_dir: Path) -> list[LabeledRecording]:
+    held_out = _by_subject(dataset.recordings, _read_split(out_dir)["test_subjects"])
+    if not held_out:
+        raise DataError("no recordings for held-out subjects")
+    return held_out
+
+
 def predict_sessions(
     ensemble: EnsembleModel, recordings, spec: WindowSpec
 ) -> list[SessionPrediction]:
@@ -288,8 +296,7 @@ def _load_sequences(
     path = out_dir / "sequences.jsonl"
     if not path.is_file():
         raise DataError(f"predictions not found: {path} (run predict first)")
-    held_out = _by_subject(dataset.recordings, _read_split(out_dir)["test_subjects"])
-    by_id = {r.recording.recording_id: r for r in held_out}
+    by_id = {r.recording.recording_id: r for r in _held_out(dataset, out_dir)}
     pairs = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -384,9 +391,7 @@ def cmd_predict(cfg: RunConfig, args) -> int:
     dataset = _require_dataset(cfg)
     out_dir = Path(cfg.out_dir)
     ensemble = load_ensemble(ensemble_paths(out_dir))
-    test_recordings = _by_subject(dataset.recordings, _read_split(out_dir)["test_subjects"])
-    if not test_recordings:
-        raise DataError("no recordings for held-out subjects")
+    test_recordings = _held_out(dataset, out_dir)
     t0 = time.perf_counter()
     sessions = predict_sessions(ensemble, test_recordings, cfg.window_spec())
     _write_jsonl(out_dir / "sequences.jsonl", [s.to_json() for s in sessions])
@@ -531,51 +536,49 @@ def stream_replay(
 ) -> StreamResult:
     """Replay a recording on a scaled real-time clock and decode live.
 
-    A window becomes decodable once its trailing flank has arrived, so
-    the producer clock releases frame min(n, core_end + flank) before
-    the consumer runs. Windows are cut with `spec` (default geometry at
-    the recording's rate when omitted) and stitched incrementally with
-    stitch_append, the rule stitch_windows folds with, so the final
-    sequence equals batch mode's whenever the window tokens do. Lag is
-    emit time minus the wall-clock time the window's core ended.
+    A window is released when its trailing flank arrives: frame
+    min(n, core_end + flank) of the clock, or at once at speed=inf.
+    Each turn waits for the next undecoded window and decodes every
+    window released by then in one decode_windows call (at speed=inf,
+    the one call predict makes), then stitches them with stitch_append,
+    the rule stitch_windows folds with. `spec` falls back to the default
+    geometry at the recording's rate. A window's compute_s is its share
+    of its call; its lag is emit time minus when its core ended.
     """
     if not speed > 0:  # also true for nan
         raise DataError("speed must be positive")
-    if spec is None:
-        spec = WindowSpec(sample_rate_hz=recording.sample_rate_hz)
+    spec = spec or WindowSpec(sample_rate_hz=recording.sample_rate_hz)
     windows = make_windows(recording, spec, mode="test")
     n = recording.n_frames
     fs = recording.sample_rate_hz
-    throttled = math.isfinite(speed)
+    releases = [min(n, w.abs_core_end + spec.flank_frames) / fs / speed for w in windows]
 
     stitched: list[PrimitiveClass] = []
     events = []
     t0 = time.monotonic()
-    for i, window in enumerate(windows):
-        ready_frame = min(n, window.abs_core_end + spec.flank_frames)
-        if throttled:
-            release = t0 + ready_frame / fs / speed
-            delay = release - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
+    while len(events) < len(windows):
+        first = len(events)
+        time.sleep(max(0.0, t0 + releases[first] - time.monotonic()))
         ready = time.monotonic()
-        pred = decode_windows(ensemble, [window])[0]
-        stitch_append(stitched, pred.tokens)
-        emit = time.monotonic()
-        core_end_wall = (window.abs_core_end / fs / speed) if throttled else 0.0
-        running = count(SessionPrediction(recording.recording_id, tuple(stitched)))
-        events.append(
-            {
-                "window": i,
-                "core_start_s": window.abs_core_start / fs,
-                "core_end_s": window.abs_core_end / fs,
-                "tokens": [t.label for t in pred.tokens],
-                "counts": running.to_json(),
-                "emit_monotonic_s": emit - t0,
-                "compute_s": emit - ready,
-                "lag_s": (emit - t0) - core_end_wall,
-            }
-        )
+        group = windows[first : max(first + 1, bisect_right(releases, ready - t0))]
+        preds = decode_windows(ensemble, group)
+        compute_s = (time.monotonic() - ready) / len(group)
+        for i, (window, pred) in enumerate(zip(group, preds), first):
+            stitch_append(stitched, pred.tokens)
+            emit = time.monotonic()
+            running = count(SessionPrediction(recording.recording_id, tuple(stitched)))
+            events.append(
+                {
+                    "window": i,
+                    "core_start_s": window.abs_core_start / fs,
+                    "core_end_s": window.abs_core_end / fs,
+                    "tokens": [t.label for t in pred.tokens],
+                    "counts": running.to_json(),
+                    "emit_monotonic_s": emit - t0,
+                    "compute_s": compute_s,
+                    "lag_s": (emit - t0) - window.abs_core_end / fs / speed,
+                }
+            )
     session = SessionPrediction(recording.recording_id, tuple(stitched))
     return StreamResult(session, count(session), events)
 
@@ -591,11 +594,8 @@ def cmd_stream(cfg: RunConfig, args) -> int:
             raise DataError(f"recording not found: {args.recording}")
         target = by_id[args.recording]
     else:
-        if (out_dir / "split.json").is_file():
-            test_subjects = _read_split(out_dir)["test_subjects"]
-            candidates = _by_subject(dataset.recordings, test_subjects)
-        else:
-            candidates = dataset.recordings
+        split = (out_dir / "split.json").is_file()
+        candidates = _held_out(dataset, out_dir) if split else dataset.recordings
         target = sorted(candidates, key=lambda r: r.recording.recording_id)[0]
     speed = args.speed if args.speed is not None else 1.0
     shown = "inf" if not math.isfinite(speed) else speed

@@ -231,6 +231,9 @@ def make_windows(
     n = recording.n_frames
     if n < 1:
         raise DataError("recording is empty")
+    if spec.sample_rate_hz != recording.sample_rate_hz:
+        raise DataError(f"{recording.recording_id} is sampled at {recording.sample_rate_hz} Hz, "
+                        f"the window spec at {spec.sample_rate_hz} Hz")
     core = spec.core_frames
     flank = spec.flank_frames
     window_len = spec.window_frames

@@ -1,6 +1,7 @@
 import json
 import math
 import shutil
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -672,6 +673,18 @@ def test_stream_unknown_recording(pipeline):
                  "--recording", "nope/x/0"]) == 1
 
 
+@pytest.mark.parametrize("command", ["predict", "stream", "count", "eval"])
+def test_held_out_subjects_without_recordings_exit_1(pipeline, tmp_path, capsys, command):
+    tmp, cfg_path = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(tmp / "out", out)
+    split = json.loads((out / "split.json").read_text())
+    (out / "split.json").write_text(json.dumps({**split, "test_subjects": ["nobody"]}))
+    argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv + (["--speed", "inf"] if command == "stream" else [])) == 1
+    assert "error: no recordings for held-out subjects" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # stream_replay against batch mode
 # ---------------------------------------------------------------------------
@@ -710,7 +723,7 @@ _PROPERTY_ENSEMBLE = EnsembleModel(_PROPERTY_CFG, [
        length=st.integers(1, 60), seed=st.integers(0, 2**32 - 1))
 def test_stream_equals_batch_for_any_geometry(rate, core, flank, length, seed):
     # recordings from 1 frame up to several windows, shorter than one
-    # window included; stream decodes one window per call, batch all at once
+    # window included; at speed=inf stream decodes in one call, as batch does
     spec = WindowSpec(sample_rate_hz=float(rate), window_s=(core + 2 * flank) / rate,
                       core_s=core / rate, train_slide_s=core / rate)
     assert (spec.core_frames, spec.flank_frames) == (core, flank)
@@ -722,6 +735,58 @@ def test_stream_equals_batch_for_any_geometry(rate, core, flank, length, seed):
     assert result.session.tokens == batch.tokens
     assert result.counts.counts == count(batch).counts
     assert len(result.events) == math.ceil(length / core)
+
+
+def _count_decode_calls(monkeypatch, delay_s=0.0) -> list[list]:
+    """Patch the decoder stream_replay calls to record each call's windows."""
+    calls = []
+
+    def recording_decode(ensemble, windows):
+        calls.append(list(windows))
+        time.sleep(delay_s)
+        return decode_windows(ensemble, windows)
+
+    monkeypatch.setattr(cli_mod, "decode_windows", recording_decode)
+    return calls
+
+
+def _property_recording(rate, length, seed=3):
+    frames = np.random.default_rng(seed).normal(size=(length, 3))
+    return IMURecording("s0", "desk", 0, float(rate), frames)
+
+
+def test_stream_at_inf_decodes_a_recording_in_one_call(monkeypatch):
+    spec = WindowSpec(sample_rate_hz=10.0, window_s=1.4, core_s=1.0, train_slide_s=1.0)
+    recording = _property_recording(10.0, 95)
+    calls = _count_decode_calls(monkeypatch)
+    result = stream_replay(recording, _PROPERTY_ENSEMBLE, speed=math.inf, spec=spec)
+    windows = make_windows(recording, spec, mode="test")
+    assert len(windows) == len(result.events) == 10
+    assert [[w.abs_core_start for w in call] for call in calls] == [
+        [w.abs_core_start for w in windows]
+    ]
+    # each window carries an equal share of the one call's seconds
+    assert len({e["compute_s"] for e in result.events}) == 1
+
+
+def test_stream_at_finite_speed_equals_batch(monkeypatch):
+    """A decoder slower than one core period makes later calls carry
+    several released windows; tokens still equal one batch decode's."""
+    spec = WindowSpec(sample_rate_hz=10.0, window_s=1.4, core_s=1.0, train_slide_s=1.0)
+    recording = _property_recording(10.0, 95)
+    windows = make_windows(recording, spec, mode="test")
+    batch = decode_windows(_PROPERTY_ENSEMBLE, windows)
+    speed = 10.0  # one core period is 0.1 s of wall time, the replay 0.95 s
+    calls = _count_decode_calls(monkeypatch, delay_s=0.25)
+    result = stream_replay(recording, _PROPERTY_ENSEMBLE, speed=speed, spec=spec)
+    assert max(len(call) for call in calls) >= 2
+    assert [w.abs_core_start for call in calls for w in call] == [
+        w.abs_core_start for w in windows
+    ]
+    assert [e["window"] for e in result.events] == list(range(len(windows)))
+    assert [e["tokens"] for e in result.events] == [[t.label for t in p.tokens] for p in batch]
+    assert result.session.tokens == stitch_windows(batch).tokens
+    assert result.counts.counts == count(stitch_windows(batch)).counts
 
 
 def test_stream_command_uses_config_geometry(tmp_path):

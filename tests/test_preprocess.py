@@ -257,7 +257,7 @@ class TestNormalization:
 
     def test_inverse_recovers_input(self):
         rng = np.random.default_rng(10)
-        rec = IMURecording("s", "a", 0, 100.0, rng.normal(3.0, 2.0, size=(40, 5)))
+        rec = IMURecording("s", "a", 0, 10.0, rng.normal(3.0, 2.0, size=(40, 5)))
         stats = fit_normalization([rec])
         windows = make_windows(rec, WindowSpec(sample_rate_hz=10.0), mode="test")
         xs = _normalized_stack(windows, stats, np.float64)  # (T, B, D)
@@ -430,6 +430,13 @@ class TestMakeWindows:
             assert len(windows) == 1
             assert windows[0].abs_core_end == 1
             np.testing.assert_array_equal(windows[0].frames, 0.0)
+
+    def test_sample_rate_mismatch_rejected(self):
+        # a 100-Hz spec would cut 30 s of a 20-Hz recording into each window
+        spec = WindowSpec(sample_rate_hz=100.0)
+        with pytest.raises(DataError, match="s00/a/0 is sampled at 20.0 Hz, "
+                                            "the window spec at 100.0 Hz"):
+            make_windows(toy_recording(1200, fs=20.0), spec, mode="test")
 
     def test_core_frames_view(self):
         spec = WindowSpec(sample_rate_hz=100.0)
