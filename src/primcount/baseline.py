@@ -16,7 +16,7 @@ import numpy as np
 from .dataset import N_CLASSES, DataError, IMURecording, PrimitiveClass
 from .decoding import WindowPrediction
 from .model import Adam, TrainingError, _softmax
-from .preprocess import Window
+from .preprocess import NormalizationStats, Window, column_stats, normalize_frames
 
 _CHUNK_BYTES = 1 << 20  # sliding-view bytes reduced at once; bounds the reductions' temporaries
 
@@ -130,13 +130,8 @@ def smooth(track: PointwiseTrack, smoother: KaiserSmoother) -> PointwiseTrack:
 
 
 def _run_length_collapse(labels: np.ndarray) -> tuple[PrimitiveClass, ...]:
-    tokens = []
-    prev = None
-    for v in labels:
-        if v != prev:
-            tokens.append(PrimitiveClass(int(v)))
-            prev = v
-    return tuple(tokens)
+    firsts = labels[np.diff(labels, prepend=-1) != 0]  # each run's first label
+    return tuple(map(PrimitiveClass, firsts.tolist()))
 
 
 def collapse(
@@ -201,7 +196,7 @@ class LogisticPointwise:
     context_frames: int
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
-        z = (features - self.feature_mean) / self.feature_std
+        z = normalize_frames(features, NormalizationStats(self.feature_mean, self.feature_std))
         return _softmax(z @ self.W + self.b)
 
     def track(self, recording: IMURecording) -> PointwiseTrack:
@@ -222,7 +217,8 @@ def train_pointwise(
 ) -> LogisticPointwise:
     """Fit the reference classifier on frame-labeled recordings.
 
-    Features are standardized with training-set statistics; the softmax
+    Features are standardized by the model's z-score rule (column_stats,
+    normalize_frames) with training-set statistics; the softmax
     cross-entropy is minimized by seeded mini-batch Adam from a zero
     initialization.
     """
@@ -232,10 +228,8 @@ def train_pointwise(
         [extract_feature_matrix(r.recording, config.context_frames) for r in train_data]
     )
     labels = np.concatenate([frame_labels(r) for r in train_data])
-    mean = feats.mean(axis=0)
-    std = feats.std(axis=0)
-    std = np.where(std < 1e-8, 1.0, std)
-    z = (feats - mean) / std
+    stats = column_stats(feats)
+    z = normalize_frames(feats, stats)
     n, F = z.shape
 
     W = np.zeros((F, N_CLASSES))
@@ -254,4 +248,4 @@ def train_pointwise(
                 raise TrainingError(f"pointwise training diverged at epoch {epoch}")
             d = (probs - onehot_rows[idx]) / len(idx)
             opt.step(arrays, {"W": zb.T @ d, "b": d.sum(axis=0)})
-    return LogisticPointwise(mean, std, W, b, config.context_frames)
+    return LogisticPointwise(stats.mean, stats.std, W, b, config.context_frames)

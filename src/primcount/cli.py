@@ -17,6 +17,7 @@ import platform
 import sys
 import time
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -37,6 +38,7 @@ from .dataset import (
     PrimitiveClass,
     SynthSpec,
     SyntheticDataset,
+    _by_subject,
     _read_json,
     _stream_rng,
     _write_csv,
@@ -99,30 +101,30 @@ class RunConfig:
     out_dir: str = "out"
     seed: int = 0
     # synthesis
-    n_subjects: int = 8
-    trials_per_subject: int = 2
-    duration_s: float = 60.0
-    sample_rate_hz: float = 100.0
-    n_channels: int = 12
+    n_subjects: int = SynthSpec.n_subjects
+    trials_per_subject: int = SynthSpec.trials_per_subject
+    duration_s: float = SynthSpec.duration_s
+    sample_rate_hz: float = SynthSpec.sample_rate_hz
+    n_channels: int = SynthSpec.n_channels
     # windowing
-    window_s: float = 6.0
-    core_s: float = 4.0
-    train_slide_s: float = 0.5
+    window_s: float = WindowSpec.window_s
+    core_s: float = WindowSpec.core_s
+    train_slide_s: float = WindowSpec.train_slide_s
     # model
-    hidden_dim: int = 64
-    embed_dim: int = 32
+    hidden_dim: int = ModelConfig.hidden_dim
+    embed_dim: int = ModelConfig.embed_dim
     # training
-    learning_rate: float = 5e-4
-    batch_size: int = 32
-    max_epochs: int = 100
-    patience: int = 10
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
     n_folds: int = 4
     test_fraction: float = 0.25
     # baseline comparison
     with_baseline: bool = False
     smoother_length: int = 21
     smoother_beta: float = 4.0
-    baseline_context_frames: int = 100
+    baseline_context_frames: int = PointwiseTrainConfig.context_frames
 
     def __post_init__(self):
         if self.seed < 0:
@@ -266,11 +268,6 @@ def _record_timing(out_dir: Path, stage: str, seconds: float) -> dict:
     return timings
 
 
-def _by_subject(recordings, subjects) -> list[LabeledRecording]:
-    wanted = set(subjects)
-    return [r for r in recordings if r.recording.subject_id in wanted]
-
-
 def _held_out(dataset: SyntheticDataset, out_dir: Path) -> list[LabeledRecording]:
     held_out = _by_subject(dataset.recordings, _read_split(out_dir)["test_subjects"])
     if not held_out:
@@ -362,7 +359,8 @@ def cmd_synth(cfg: RunConfig, args) -> int:
 def cmd_train(cfg: RunConfig, args) -> int:
     """Train the fold ensemble on the non-held-out subjects."""
     dataset = _require_dataset(cfg)
-    pool, test = holdout_split(dataset.subjects, cfg.test_fraction, cfg.seed)
+    recorded = {r.recording.subject_id for r in dataset.recordings}
+    pool, test = holdout_split(recorded, cfg.test_fraction, cfg.seed)
     pool_recordings = _by_subject(dataset.recordings, pool)
     data = TrainingData(pool_recordings, cfg.window_spec())
     model_cfg = cfg.model_config(input_dim=dataset.manifest.channel_count)
@@ -541,9 +539,10 @@ def stream_replay(
     Each turn waits for the next undecoded window and decodes every
     window released by then in one decode_windows call (at speed=inf,
     the one call predict makes), then stitches them with stitch_append,
-    the rule stitch_windows folds with. `spec` falls back to the default
-    geometry at the recording's rate. A window's compute_s is its share
-    of its call; its lag is emit time minus when its core ended.
+    the rule stitch_windows folds with, counting the tokens each adds.
+    `spec` falls back to the default geometry at the recording's rate.
+    A window's compute_s is its share of its call; its lag is emit time
+    minus when its core ended.
     """
     if not speed > 0:  # also true for nan
         raise DataError("speed must be positive")
@@ -554,6 +553,7 @@ def stream_replay(
     releases = [min(n, w.abs_core_end + spec.flank_frames) / fs / speed for w in windows]
 
     stitched: list[PrimitiveClass] = []
+    running = Counter()  # the counts of stitched
     events = []
     t0 = time.monotonic()
     while len(events) < len(windows):
@@ -564,16 +564,17 @@ def stream_replay(
         preds = decode_windows(ensemble, group)
         compute_s = (time.monotonic() - ready) / len(group)
         for i, (window, pred) in enumerate(zip(group, preds), first):
+            before = len(stitched)
             stitch_append(stitched, pred.tokens)
+            running.update(stitched[before:])
             emit = time.monotonic()
-            running = count(SessionPrediction(recording.recording_id, tuple(stitched)))
             events.append(
                 {
                     "window": i,
                     "core_start_s": window.abs_core_start / fs,
                     "core_end_s": window.abs_core_end / fs,
                     "tokens": [t.label for t in pred.tokens],
-                    "counts": running.to_json(),
+                    "counts": PrimitiveCounts(running).to_json(),
                     "emit_monotonic_s": emit - t0,
                     "compute_s": compute_s,
                     "lag_s": (emit - t0) - window.abs_core_end / fs / speed,
@@ -636,8 +637,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="override the output directory")
         p.add_argument("--data", help="override the dataset directory")
-        if name == "train":
-            p.add_argument("--folds", type=int, help="number of ensemble folds")
         if name == "stream":
             p.add_argument("--speed", type=float, help="replay speed, inf = unthrottled")
             p.add_argument("--recording", help="recording id to replay")
@@ -660,7 +659,6 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "out_dir": args.out,
         "data_root": args.data,
-        "n_folds": getattr(args, "folds", None),
     }
     try:
         cfg = load_run_config(args.config, overrides)

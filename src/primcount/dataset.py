@@ -52,6 +52,14 @@ class PrimitiveClass(enum.IntEnum):
 CLASSES = tuple(PrimitiveClass)
 N_CLASSES = len(CLASSES)
 
+
+def _as_codes(seq) -> np.ndarray:
+    """int64 class codes of a token sequence; DataError outside the alphabet."""
+    codes = np.asarray([int(t) for t in seq], dtype=np.int64)
+    if codes.size and (codes.min() < 0 or codes.max() >= N_CLASSES):
+        raise DataError("sequence token outside the 5-class alphabet")
+    return codes
+
 # Channel quantity kinds. Quaternion components always come in contiguous
 # groups of four per sensor.
 KIND_ACCELERATION = "acceleration"
@@ -279,6 +287,12 @@ class LabeledRecording:
         for s in self.segments:
             counts[s.cls] += 1
         return counts
+
+
+def _by_subject(recordings, subjects) -> list[LabeledRecording]:
+    """The recordings of the given subjects, in their given order."""
+    wanted = set(subjects)
+    return [r for r in recordings if r.recording.subject_id in wanted]
 
 
 @dataclass(frozen=True)
@@ -815,13 +829,16 @@ def load_dataset(directory: str | Path) -> SyntheticDataset:
             subjects[sid] = SubjectInfo(sid, obj["paretic_side"], int(obj["ue_fma_score"]))
         except (KeyError, TypeError, ValueError) as exc:  # DataError is a ValueError
             raise DataError(f"{subjects_path}: malformed subject {sid!r}: {exc}") from None
-    recordings = []
+    recordings = {}  # recording id -> (frames path, recording)
     rec_dir = directory / "recordings"
     for frames_path in sorted(rec_dir.glob("*.csv")):
         labeled = load_recording(frames_path, frames_path.with_suffix(".labels.json"), manifest)
         if labeled.recording.subject_id not in subjects:
             raise DataError(f"{subjects_path}: no entry for the subject of {labeled.recording_id}")
-        recordings.append(labeled)
+        if labeled.recording_id in recordings:
+            raise DataError(f"{recordings[labeled.recording_id][0]} and {frames_path} "
+                            f"both hold recording {labeled.recording_id}")
+        recordings[labeled.recording_id] = (frames_path, labeled)
     if not recordings:
         raise DataError(f"{rec_dir}: no recordings found")
-    return SyntheticDataset(recordings, subjects, manifest)
+    return SyntheticDataset([r for _, r in recordings.values()], subjects, manifest)

@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import CLASSES, N_CLASSES, DataError, PrimitiveClass
+from .dataset import CLASSES, N_CLASSES, DataError, PrimitiveClass, _as_codes
 
 MATCH = "match"
 SUBSTITUTION = "substitution"
@@ -44,13 +44,6 @@ class AlignmentOp(NamedTuple):
     @property
     def cost(self) -> int:
         return int(self.gt != self.pred)
-
-
-def _as_codes(seq) -> np.ndarray:
-    codes = np.asarray([int(t) for t in seq], dtype=np.int64)
-    if codes.size and (codes.min() < 0 or codes.max() >= N_CLASSES):
-        raise DataError("sequence token outside the 5-class alphabet")
-    return codes
 
 
 def _dp_table(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:

@@ -26,9 +26,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import DataError, DatasetSplit, LabeledRecording, _write_json, split_subjects
+from .dataset import (
+    DataError, DatasetSplit, LabeledRecording, _as_codes, _by_subject, _write_json, split_subjects,
+)
 from .parallel import _fork_map
 from .preprocess import (
+    MAX_TOKENS,
     NormalizationStats,
     TargetSequence,
     Window,
@@ -60,7 +63,7 @@ class ModelConfig:
     input_dim: int = 77
     hidden_dim: int = 64
     embed_dim: int = 32
-    max_decode_len: int = 17  # max target tokens + EOS
+    max_decode_len: int = MAX_TOKENS + 1  # max target tokens + EOS
 
     def __post_init__(self):
         for f in fields(self):
@@ -421,15 +424,6 @@ def _batch_forward_backward(
     return loss, grads.arrays()
 
 
-def _codes_of(target) -> np.ndarray:
-    if isinstance(target, TargetSequence):
-        return target.codes()
-    codes = np.asarray([int(t) for t in target], dtype=np.int64)
-    if codes.size == 0:
-        raise DataError("empty target sequence")
-    return codes
-
-
 def grad_check(
     params: ModelParams,
     window,
@@ -446,7 +440,9 @@ def grad_check(
     the difference quotient turns noisy on small-gradient coordinates.
     """
     frames = np.asarray(getattr(window, "frames", window), dtype=np.float64)
-    codes = _codes_of(target)
+    codes = _as_codes(target)
+    if codes.size == 0:
+        raise DataError("empty target sequence")
     _, grads = _batch_forward_backward(params, frames[None], [codes])
     analytic = np.concatenate([g.ravel() for g in grads.values()])  # layout order
     theta = params.vector
@@ -617,12 +613,8 @@ def train_member(
     parameters of the best epoch and stops once patience epochs pass
     without improvement.
     """
-    train_recs = [
-        r for r in data.recordings if r.recording.subject_id in fold.train_subjects
-    ]
-    val_recs = [
-        r for r in data.recordings if r.recording.subject_id in fold.val_subjects
-    ]
+    train_recs = _by_subject(data.recordings, fold.train_subjects)
+    val_recs = _by_subject(data.recordings, fold.val_subjects)
     if not train_recs or not val_recs:
         raise DataError("fold has an empty train or validation side")
 

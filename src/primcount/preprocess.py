@@ -20,6 +20,7 @@ from .dataset import (
     IMURecording,
     PrimitiveClass,
     PrimitiveSegment,
+    _as_codes,
 )
 
 
@@ -65,21 +66,24 @@ class NormalizationStats:
         return cls(mean, std, source_split)  # its own DataError names the reason
 
 
+def column_stats(rows: np.ndarray, source_split: str = "train") -> NormalizationStats:
+    """Mean and population std of each column of a (n, D) matrix.
+
+    Columns with std below 1e-8 (constant columns) get std clamped to 1
+    so that z-scoring leaves them at zero instead of blowing up. The
+    model's frames and the baseline's features are standardized by it.
+    """
+    std = rows.std(axis=0)
+    return NormalizationStats(rows.mean(axis=0), np.where(std < 1e-8, 1.0, std), source_split)
+
+
 def fit_normalization(
     recordings: list[IMURecording], source_split: str = "train"
 ) -> NormalizationStats:
-    """Per-channel mean/std pooled over all frames of all recordings.
-
-    Channels with std below 1e-8 (constant channels) get std clamped
-    to 1 so that z-scoring leaves them at zero instead of blowing up.
-    """
+    """Per-channel column_stats pooled over all frames of all recordings."""
     if not recordings:
         raise DataError("need at least one recording to fit normalization")
-    stacked = np.concatenate([r.frames for r in recordings], axis=0)
-    mean = stacked.mean(axis=0)
-    std = stacked.std(axis=0)
-    std = np.where(std < 1e-8, 1.0, std)
-    return NormalizationStats(mean, std, source_split)
+    return column_stats(np.concatenate([r.frames for r in recordings], axis=0), source_split)
 
 
 def normalize_frames(frames: np.ndarray, stats: NormalizationStats) -> np.ndarray:
@@ -288,7 +292,7 @@ class TargetSequence:
         return self.tokens[i]
 
     def codes(self) -> np.ndarray:
-        return np.array([int(t) for t in self.tokens], dtype=np.int64)
+        return _as_codes(self.tokens)
 
 
 def derive_target_sequence(segments: list[PrimitiveSegment], window: Window) -> TargetSequence:

@@ -200,6 +200,31 @@ def test_feature_matrix_memory_bounded_at_paper_width():
     assert peak < out.nbytes + 2 * baseline_mod._CHUNK_BYTES, peak / 1e6
 
 
+def test_pointwise_memory_bounded_by_feature_matrix():
+    # 77 channels at context 100: standardizing with normalize_frames keeps
+    # one standardized copy beside the features; (x - mean) / std held two,
+    # and both train_pointwise and track peaked at 3.0x their matrix
+    spec = SynthSpec(n_subjects=2, trials_per_subject=1, duration_s=20.0,
+                     sample_rate_hz=100.0, n_channels=77)
+    recordings = synthesize_dataset(spec, seed=1).recordings
+    rec = recordings[0].recording
+    tracemalloc.start()
+    try:
+        clf = train_pointwise(recordings, PointwiseTrainConfig(context_frames=100, max_epochs=1))
+        _, train_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        held, _ = tracemalloc.get_traced_memory()
+        clf.track(rec)
+        _, track_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    row = 5 * 77 * 8  # bytes of one frame's features
+    train_matrix = row * sum(r.recording.n_frames for r in recordings)
+    track_matrix = row * rec.n_frames
+    assert train_peak < 2.5 * train_matrix, train_peak / train_matrix  # 2.3x
+    assert track_peak - held < 2.5 * track_matrix, (track_peak - held) / track_matrix  # 2.1x
+
+
 # sha256 of the feature matrix, smoothed probabilities and collapsed window
 # tokens for one fixed tiny recording; any edit that changes a bit of the
 # baseline's output changes one of these

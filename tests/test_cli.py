@@ -26,13 +26,16 @@ from primcount.dataset import (
     ChannelManifest,
     DataError,
     IMURecording,
+    PrimitiveClass,
     SynthSpec,
     SyntheticDataset,
     load_dataset,
     save_dataset,
     synthesize_dataset,
 )
-from primcount.decoding import count, decode_windows, stitch_windows
+from primcount.decoding import (
+    SessionPrediction, count, decode_windows, stitch_append, stitch_windows,
+)
 from primcount.model import EnsembleModel, ModelConfig, ModelParams, init_params, load_ensemble
 from primcount.preprocess import NormalizationStats, WindowSpec, make_windows
 
@@ -129,6 +132,11 @@ def test_shipped_configs_build_a_window_spec(name):
     assert spec.test_slide_frames == spec.core_frames
 
 
+def test_desk_config_holds_the_defaults():
+    path = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+    assert json.loads(path.read_text()) == RunConfig().to_json()
+
+
 def test_core_alone_sets_the_test_slide():
     spec = RunConfig.from_json({"core_s": 2.0, "window_s": 4.0}).window_spec()
     assert spec.test_slide_frames == spec.core_frames == 200
@@ -174,6 +182,12 @@ def test_invalid_json_config_is_usage_error(tmp_path):
 def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as e:
         main(["frobnicate"])
+    assert e.value.code == 2
+
+
+def test_train_takes_n_folds_from_the_config_only():
+    with pytest.raises(SystemExit) as e:
+        main(["train", "--folds", "3"])
     assert e.value.code == 2
 
 
@@ -479,17 +493,37 @@ def test_missing_prediction_is_data_error(pipeline, tmp_path, capsys, command):
 
 
 def test_retrain_with_fewer_folds_replaces_the_ensemble(pipeline, tmp_path, monkeypatch):
-    _, cfg_path = pipeline
+    tmp, _ = pipeline
+    for n_folds in (3, 2):  # both write to tmp_path / "out"
+        cfg_path = mini_config(tmp_path, f"folds{n_folds}.json", n_folds=n_folds,
+                               data_root=str(tmp / "data"))
+        assert main(["train", "--config", str(cfg_path)]) == 0
     out = tmp_path / "out"
-    args = ["--config", str(cfg_path), "--out", str(out)]
-    assert main(["train", *args, "--folds", "3"]) == 0
-    assert main(["train", *args, "--folds", "2"]) == 0
     assert sorted(p.name for p in out.glob("model.*.bin")) == ["model.0.bin", "model.1.bin"]
     loaded = []
     monkeypatch.setattr(cli_mod, "load_ensemble",
                         lambda paths: loaded.append(load_ensemble(paths)) or loaded[-1])
-    assert main(["predict", *args]) == 0
+    assert main(["predict", "--config", str(cfg_path)]) == 0
     assert [len(e.members) for e in loaded] == [2]
+
+
+def test_hold_out_is_drawn_from_subjects_with_recordings(pipeline, tmp_path, capsys):
+    # subjects.json may list subjects without recordings; drawn into the
+    # split, they left too few recorded subjects on either side
+    tmp, cfg_path = pipeline
+    data = tmp_path / "data"
+    shutil.copytree(tmp / "data", data)
+    subjects = json.loads((data / "subjects.json").read_text())
+    recorded = sorted(subjects)
+    for i in range(6):
+        subjects[f"s{10 + i}"] = {"paretic_side": "left", "ue_fma_score": 40}
+    (data / "subjects.json").write_text(json.dumps(subjects))
+    argv = ["train", "--config", str(cfg_path), "--data", str(data), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    split = json.loads((tmp_path / "split.json").read_text())
+    assert split == json.loads((tmp / "out" / "split.json").read_text())
+    assert sorted(split["pool_subjects"] + split["test_subjects"]) == recorded
+    assert f"on {len(split['pool_subjects'])} subjects" in capsys.readouterr().out
 
 
 def test_eval_counts_the_current_predictions(pipeline, tmp_path):
@@ -787,6 +821,18 @@ def test_stream_at_finite_speed_equals_batch(monkeypatch):
     assert [e["tokens"] for e in result.events] == [[t.label for t in p.tokens] for p in batch]
     assert result.session.tokens == stitch_windows(batch).tokens
     assert result.counts.counts == count(stitch_windows(batch)).counts
+
+
+def test_stream_counts_are_those_of_the_stitched_prefix():
+    spec = WindowSpec(sample_rate_hz=10.0, window_s=1.4, core_s=1.0, train_slide_s=1.0)
+    recording = _property_recording(10.0, 95)
+    result = stream_replay(recording, _PROPERTY_ENSEMBLE, speed=math.inf, spec=spec)
+    stitched = []
+    for event in result.events:
+        stitch_append(stitched, [PrimitiveClass.from_label(t) for t in event["tokens"]])
+        prefix = SessionPrediction(recording.recording_id, tuple(stitched))
+        assert event["counts"] == count(prefix).to_json()
+    assert len(stitched) < sum(len(e["tokens"]) for e in result.events)  # some merged
 
 
 def test_stream_command_uses_config_geometry(tmp_path):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import re
+import shutil
 import tracemalloc
 from pathlib import Path
 
@@ -418,6 +419,19 @@ class TestFileIO:
         assert edited != text
         path.write_text(edited)
         with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+            load_dataset(tmp_path / "data")
+
+    def test_two_files_of_one_recording_are_rejected(self, tmp_path):
+        # a copy under another stem used to load as a second recording of s00
+        spec = SynthSpec(n_subjects=2, trials_per_subject=1, duration_s=2.0,
+                         sample_rate_hz=40.0, n_channels=6)
+        save_dataset(synthesize_dataset(spec, seed=11), tmp_path / "data")
+        rec_dir = tmp_path / "data" / "recordings"
+        for src in sorted(rec_dir.glob("s00__drill_a__0.*")):
+            shutil.copy(src, rec_dir / src.name.replace("s00__drill_a__0", "zz_copy"))
+        first, second = rec_dir / "s00__drill_a__0.csv", rec_dir / "zz_copy.csv"
+        with pytest.raises(DataError, match=re.escape(
+                f"{first} and {second} both hold recording s00/drill_a/0")):
             load_dataset(tmp_path / "data")
 
     def test_writer_matches_csv_writer(self, tmp_path):
