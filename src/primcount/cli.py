@@ -551,6 +551,8 @@ def stream_replay(
     n = recording.n_frames
     fs = recording.sample_rate_hz
     releases = [min(n, w.abs_core_end + spec.flank_frames) / fs / speed for w in windows]
+    if releases and releases[-1] >= 1e9:  # time.sleep overflows near 9.2e9 s
+        raise DataError(f"speed {speed:g} is too slow: the replay would take {releases[-1]:.3g} s")
 
     stitched: list[PrimitiveClass] = []
     running = Counter()  # the counts of stitched

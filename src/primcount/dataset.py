@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .parallel import _fork_map, _usable_cpus
+from .parallel import _fork_map
 
 
 class DataError(ValueError):
@@ -786,10 +786,10 @@ def split_subjects(
 def save_dataset(dataset: SyntheticDataset, directory: str | Path) -> None:
     """Write the manifest, the subjects and every recording under `directory`.
 
-    The recordings are split, in order, into min(recordings, usable CPUs)
-    contiguous groups, and `save_recording` writes each group in a forked
-    worker (`_fork_map`); the files are the same for any split. A writer
-    that dies raises ChildProcessError.
+    `save_recording` writes the recordings in up to min(recordings, usable
+    CPUs) forked workers, each running a round-robin share (`_fork_map`);
+    the files are the same for any number of workers. A writer that dies
+    raises ChildProcessError naming its recording's job.
     """
     directory = Path(directory)
     _write_json(directory / "manifest.json", dataset.manifest.to_json(), sort_keys=False)
@@ -802,10 +802,9 @@ def save_dataset(dataset: SyntheticDataset, directory: str | Path) -> None:
     )
     rec_dir = directory / "recordings"
     rec_dir.mkdir(parents=True, exist_ok=True)
-    recs, n = dataset.recordings, min(len(dataset.recordings), _usable_cpus())
     _fork_map(
-        lambda group: [save_recording(labeled, rec_dir, dataset.manifest) for labeled in group],
-        [(recs[len(recs) * k // n : len(recs) * (k + 1) // n],) for k in range(n)],
+        lambda labeled: save_recording(labeled, rec_dir, dataset.manifest),
+        [(labeled,) for labeled in dataset.recordings],
     )
 
 

@@ -88,17 +88,17 @@ def decode_windows(
 ) -> list[WindowPrediction]:
     """Greedy ensemble decoding of many windows at once, in float32.
 
-    Each member's parameters are cast to float32 once per call. Every
-    member normalizes the windows with its own stats (in float64, then
-    rounded to float32) and encodes them independently, each in a forked
-    worker process (`_fork_map`; a one-member ensemble encodes in the
-    calling process); at each step the members' token distributions are
-    averaged, the argmax (lowest code on ties, SOS excluded) is the
-    shared prediction, EOS stops a window, and the shared token feeds
-    back into every member's decoder. Windows of different shapes, or
-    frames whose z-scores overflow float32, raise DataError naming the
-    recording. An encoding worker that dies, killed for memory say,
-    raises ChildProcessError.
+    Each member's parameters are cast to float32 once per call. Every member
+    normalizes the windows with its own stats (in float64, then rounded to
+    float32) and encodes them independently, in up to min(members, usable
+    CPUs) forked workers, each running a round-robin share (`_fork_map`; a
+    one-member ensemble encodes in the calling process); at each step the
+    members' token distributions are averaged, the argmax (lowest code on
+    ties, SOS excluded) is the shared prediction, EOS stops a window, and
+    the shared token feeds back into every member's decoder. Windows of
+    different shapes, or frames whose z-scores overflow float32, raise
+    DataError naming the recording. An encoding worker that dies, killed
+    for memory say, raises ChildProcessError.
     A lone window is decoded as two copies of its row: at one row the
     BLAS takes another kernel, whose bits differ from any larger batch's.
     """

@@ -690,9 +690,9 @@ def train_ensemble(
     """One member per validation fold; members are fully independent.
 
     Each member's seed derives only from (seed, fold index), so training
-    them in any order, or separately, produces identical parameters.
-    The members train in forked worker processes through `_fork_map`;
-    a worker that dies raises TrainingError.
+    them in any order, or separately, produces identical parameters. They
+    train in up to min(n_folds, usable CPUs) forked workers, each running a
+    round-robin share (`_fork_map`); a dead worker raises TrainingError.
     """
     subjects = sorted({r.recording.subject_id for r in data.recordings})
     folds = split_subjects(subjects, n_folds=n_folds, seed=seed)

@@ -231,10 +231,9 @@ def test_synth_seed_changes_data(tmp_path):
 def test_failed_writer_exits_1_naming_the_path(tmp_path, monkeypatch, capsys):
     import multiprocessing
 
-    from primcount import dataset, parallel
+    from primcount import parallel
 
-    for module in (dataset, parallel):
-        monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     cfg = mini_config(tmp_path)
     # the last of six recordings, written by the second of two forked writers
     blocked = tmp_path / "data" / "recordings" / "s05__drill_a__0.csv"
@@ -251,8 +250,7 @@ def test_killed_writer_exits_1_naming_the_job(tmp_path, monkeypatch, capsys):
 
     from primcount import dataset, parallel
 
-    for module in (dataset, parallel):
-        monkeypatch.setattr(module, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "_usable_cpus", lambda: 2)
     original = dataset.save_recording
 
     # the last of six recordings, written by the second of two forked writers
@@ -263,7 +261,7 @@ def test_killed_writer_exits_1_naming_the_job(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(dataset, "save_recording", last_killed)
     assert main(["synth", "--config", str(mini_config(tmp_path))]) == 1
-    assert "error: job 1 worker exited with code -9" in capsys.readouterr().err
+    assert "error: job 5 worker exited with code -9" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
 
 
@@ -861,6 +859,14 @@ def test_stream_nan_speed_exits_1(pipeline, capsys):
     _, cfg_path = pipeline
     assert main(["stream", "--config", str(cfg_path), "--speed", "nan"]) == 1
     assert "error: speed must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("speed", ["1e-12", "1e-300"])
+def test_stream_too_slow_speed_exits_1_naming_it(pipeline, capsys, speed):
+    # the replay would outlast what time.sleep can wait, which overflows
+    _, cfg_path = pipeline
+    assert main(["stream", "--config", str(cfg_path), "--speed", speed]) == 1
+    assert f"error: speed {speed} is too slow" in capsys.readouterr().err
 
 
 def test_stream_replay_rejects_channel_mismatch(pipeline):

@@ -355,8 +355,7 @@ class TestFileIO:
 
         from primcount import parallel
 
-        for module in (dataset, parallel):
-            monkeypatch.setattr(module, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: cpus)
         spec = SynthSpec(n_subjects=2, trials_per_subject=1, duration_s=2.0,
                          sample_rate_hz=10.0, n_channels=3)
         save_dataset(synthesize_dataset(spec, seed=7), tmp_path / "data")
@@ -364,7 +363,7 @@ class TestFileIO:
             k.removeprefix("data/"): v for k, v in PINNED_DIGESTS.items() if k.startswith("data/")
         }
 
-        # five recordings: min(5, cpus) writers, one per contiguous group
+        # five recordings: min(5, cpus) forked writers, each a round-robin share
         pids = tmp_path / "pids"
         original = dataset.save_recording
 
@@ -380,9 +379,9 @@ class TestFileIO:
         assert sorted(rid for rid, _ in log) == sorted(r.recording_id for r in ds.recordings)
         writers = {pid for _, pid in log}
         assert len(writers) == min(5, cpus)
-        assert (str(os.getpid()) in writers) == (cpus == 1)
+        assert str(os.getpid()) not in writers
         serial = tmp_path / "serial"
-        monkeypatch.setattr(dataset, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(parallel, "_usable_cpus", lambda: 1)
         save_dataset(ds, serial)
         assert tree_digests(tmp_path / "five") == tree_digests(serial)
 

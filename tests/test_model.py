@@ -797,6 +797,71 @@ class TestForkMap:
         assert _fork_map(lambda: os.getpid(), [()]) == [os.getpid()]
         assert _fork_map(len, []) == []
 
+    def test_one_worker_per_cpu_runs_a_round_robin_share(self, monkeypatch):
+        import multiprocessing
+        import os
+
+        import primcount.parallel
+
+        ctx = multiprocessing.get_context("fork")
+        started = []
+
+        class Counted(ctx.Process):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(ctx, "Process", Counted)
+        monkeypatch.setattr(primcount.parallel, "_usable_cpus", lambda: 2)
+        results = _fork_map(lambda i: (i, os.getpid()), [(i,) for i in range(5)])
+        assert len(started) == 2
+        assert [i for i, _ in results] == list(range(5))
+        pids = [pid for _, pid in results]
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+        assert all(pid == pids[i % 2] for i, pid in enumerate(pids))
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_failure_stops_a_sleeping_worker(self, monkeypatch, cpus):
+        # job 3 shares job 1's worker at 2 CPUs and runs beside it at 3
+        import multiprocessing
+        import time
+
+        import primcount.parallel
+
+        def job(i):
+            if i == 1:
+                raise KeyError("job 1")
+            if i == 3:
+                time.sleep(30)
+            return i
+
+        monkeypatch.setattr(primcount.parallel, "_usable_cpus", lambda: cpus)
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="job 1"):
+            _fork_map(job, [(i,) for i in range(4)])
+        assert time.monotonic() - start < 10
+        assert multiprocessing.active_children() == []
+
+    def test_worker_killed_in_its_second_job_names_that_job(self, monkeypatch):
+        import multiprocessing
+        import os
+        import signal
+
+        import primcount.parallel
+
+        class Died(Exception):
+            pass
+
+        def job(i):
+            if i == 3:  # the second job of worker 1 of 2
+                os.kill(os.getpid(), signal.SIGKILL)
+            return i
+
+        monkeypatch.setattr(primcount.parallel, "_usable_cpus", lambda: 2)
+        with pytest.raises(Died, match=r"^job 3 worker exited with code -9$"):
+            _fork_map(job, [(i,) for i in range(4)], died=Died)
+        assert multiprocessing.active_children() == []
+
 
 class TestPersistence:
     def test_round_trip_bitwise(self, tmp_path):
