@@ -16,7 +16,9 @@ import hashlib
 import json
 import sys
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -102,23 +104,15 @@ class ChannelManifest:
         return tuple(ch.name for ch in self.channels)
 
     def _quaternion_runs(self):
-        runs = []
-        i = 0
-        n = len(self.channels)
-        while i < n:
-            ch = self.channels[i]
-            if ch.kind == KIND_QUATERNION:
-                j = i
-                while (
-                    j < n
-                    and self.channels[j].kind == KIND_QUATERNION
-                    and self.channels[j].sensor == ch.sensor
-                ):
-                    j += 1
-                runs.append((i, ch.sensor, j - i))
-                i = j
-            else:
-                i += 1
+        """(start column, sensor, length) of each run of one sensor's quaternion channels."""
+        runs, start = [], 0
+        for (quaternion, sensor), run in groupby(
+            self.channels, lambda ch: (ch.kind == KIND_QUATERNION, ch.sensor)
+        ):
+            length = len(list(run))
+            if quaternion:
+                runs.append((start, sensor, length))
+            start += length
         return runs
 
     def quaternion_groups(self) -> tuple[int, ...]:
@@ -283,10 +277,8 @@ class LabeledRecording:
         return tuple(s.cls for s in self.segments)
 
     def true_counts(self) -> dict[PrimitiveClass, int]:
-        counts = {c: 0 for c in CLASSES}
-        for s in self.segments:
-            counts[s.cls] += 1
-        return counts
+        counts = Counter(s.cls for s in self.segments)
+        return {c: counts[c] for c in CLASSES}
 
 
 def _by_subject(recordings, subjects) -> list[LabeledRecording]:
@@ -624,7 +616,6 @@ class SynthSpec:
     duration_ranges_s: dict[PrimitiveClass, tuple[float, float]] = field(
         default_factory=_default_duration_ranges
     )
-    activities: tuple[str, ...] = ("drill_a", "drill_b", "drill_c")
 
 
 @dataclass
@@ -711,6 +702,8 @@ def synthesize_dataset(spec: SynthSpec, seed: int) -> SyntheticDataset:
         raise DataError("need at least one subject and one trial")
     if spec.duration_s <= 0:
         raise DataError("recording duration must be positive")
+    if spec.n_channels <= 0:
+        raise DataError(f"n_channels must be positive, got {spec.n_channels}")
     fs = spec.sample_rate_hz
     total_frames = int(round(spec.duration_s * fs))
     ranges_frames = {}
@@ -745,7 +738,7 @@ def synthesize_dataset(spec: SynthSpec, seed: int) -> SyntheticDataset:
                 )
             recording = IMURecording(
                 subject_id=subject_id,
-                activity=spec.activities[ti % len(spec.activities)],
+                activity=("drill_a", "drill_b", "drill_c")[ti % 3],
                 trial=ti,
                 sample_rate_hz=fs,
                 frames=frames,

@@ -8,14 +8,13 @@ drops that duplicate before counting.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import CLASSES, DataError, PrimitiveClass
-from .model import (
-    EOS_TOKEN, SOS_TOKEN, EnsembleModel, ModelParams, _encode_batch, decode_step_batch,
-)
+from .model import EOS_TOKEN, SOS_TOKEN, EnsembleModel, _encode_batch, decode_step_batch
 from .parallel import _fork_map
 from .preprocess import TargetSequence, Window, _normalized_stack
 
@@ -88,7 +87,8 @@ def decode_windows(
 ) -> list[WindowPrediction]:
     """Greedy ensemble decoding of many windows at once, in float32.
 
-    Each member's parameters are cast to float32 once per call. Every member
+    Each member's parameters are cast to float32 once per call; one that
+    overflows float32 raises DataError naming the member. Every member
     normalizes the windows with its own stats (in float64, then rounded to
     float32) and encodes them independently, in up to min(members, usable
     CPUs) forked workers, each running a round-robin share (`_fork_map`; a
@@ -107,8 +107,10 @@ def decode_windows(
     rows = windows * 2 if len(windows) == 1 else windows
     B = len(rows)
     max_tokens = ensemble.config.max_decode_len - 1
-    members = [(ModelParams(ensemble.config, params.vector.astype(np.float32)), stats)
-               for params, stats in ensemble.members]
+    members = [(params.float32(), stats) for params, stats in ensemble.members]
+    for i, (params, _) in enumerate(members):
+        if params is None:
+            raise DataError(f"member {i} (model.{i}.bin) has parameters beyond the float32 range")
     states = _fork_map(
         lambda params, stats: _encode_batch(
             params, _normalized_stack(rows, stats, np.float32))[0],
@@ -178,10 +180,7 @@ def stitch_windows(predictions: list[WindowPrediction]) -> SessionPrediction:
 
 def count(session: SessionPrediction) -> PrimitiveCounts:
     """Per-class token totals of a stitched sequence."""
-    counts = {c: 0 for c in CLASSES}
-    for t in session.tokens:
-        counts[t] += 1
-    return PrimitiveCounts(counts)
+    return PrimitiveCounts(Counter(session.tokens))
 
 
 @dataclass(frozen=True)
@@ -207,22 +206,12 @@ class CountingError:
 
 def counting_error(true_counts, predicted_counts) -> CountingError:
     """error = 100 * (true - predicted) / true, per class and pooled."""
-    true = true_counts.counts if isinstance(true_counts, PrimitiveCounts) else true_counts
-    pred = (
-        predicted_counts.counts
-        if isinstance(predicted_counts, PrimitiveCounts)
-        else predicted_counts
-    )
-    per_class = {}
-    for c in CLASSES:
-        t = true.get(c, 0)
-        p = pred.get(c, 0)
-        per_class[c] = 100.0 * (t - p) / t if t > 0 else float("nan")
-    total_true = sum(true.get(c, 0) for c in CLASSES)
-    total_pred = sum(pred.get(c, 0) for c in CLASSES)
-    pooled = (
-        100.0 * (total_true - total_pred) / total_true
-        if total_true > 0
-        else float("nan")
-    )
+    true, pred = (c.counts if isinstance(c, PrimitiveCounts) else c
+                  for c in (true_counts, predicted_counts))
+
+    def error(t, p):
+        return 100.0 * (t - p) / t if t > 0 else float("nan")
+
+    per_class = {c: error(true.get(c, 0), pred.get(c, 0)) for c in CLASSES}
+    pooled = error(sum(true.get(c, 0) for c in CLASSES), sum(pred.get(c, 0) for c in CLASSES))
     return CountingError(per_class, pooled)

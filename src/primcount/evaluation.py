@@ -50,19 +50,22 @@ def _dp_table(gt: np.ndarray, pred: np.ndarray) -> np.ndarray:
     """Full Levenshtein cost table, filled one row at a time.
 
     The insertion branch makes each row a running minimum, so the row is
-    closed in vector form: cur[j] = min_{k<=j}(t[k] - k) + j where t is
-    the element-wise min of the substitution and deletion branches.
+    closed in vector form: cur[j] = min_{k<=j}(t[k] + m - k) - (m - j)
+    where t is the element-wise min of the substitution and deletion
+    branches. No term is negative or above n + m, so the table takes the
+    narrowest unsigned type that also holds the n + m + 1 a step adds.
     """
     n, m = len(gt), len(pred)
-    dp = np.empty((n + 1, m + 1), dtype=np.int64)
+    dtype = np.min_scalar_type(n + m + 1)
+    dp = np.empty((n + 1, m + 1), dtype=dtype)
     dp[0] = np.arange(m + 1)
-    offsets = np.arange(m + 1)
+    rest = np.arange(m, -1, -1, dtype=dtype)  # m - j
+    t = np.empty(m + 1, dtype=dtype)
     for i in range(1, n + 1):
         prev = dp[i - 1]
-        t = np.empty(m + 1, dtype=np.int64)
         t[0] = i
         np.minimum(prev[:-1] + (gt[i - 1] != pred), prev[1:] + 1, out=t[1:])
-        dp[i] = np.minimum.accumulate(t - offsets) + offsets
+        dp[i] = np.minimum.accumulate(t + rest) - rest
     return dp
 
 

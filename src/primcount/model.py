@@ -152,6 +152,12 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams(self.config, self.vector.copy())
 
+    def float32(self) -> "ModelParams | None":
+        """A float32 copy, the precision decoding runs in; None if a parameter overflows it."""
+        with np.errstate(over="ignore"):
+            vector = self.vector.astype(np.float32)
+        return ModelParams(self.config, vector) if np.isfinite(vector).all() else None
+
     def __reduce__(self):
         # pickle the config and the vector only; unpickling rebuilds the views
         return ModelParams, (self.config, self.vector)
@@ -182,9 +188,10 @@ def zero_params(config: ModelConfig) -> ModelParams:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(fmin(x, 0)) is 1 for x >= 0 or NaN and exp(-|x|) below: no exp overflows, and the
-    # bits equal np.where(x >= 0, 1, exp(-|x|)) without its per-element branch on the sign
-    return np.exp(np.fmin(x, 0)) / (1.0 + np.exp(-np.abs(x)))
+    # e = exp(-|x|) never overflows; fmax(e, x >= 0) is 1 for x >= 0, e below and 0 for NaN
+    # (fmax skips NaN): the bits of np.where(x >= 0, 1, e) / (1 + e) without its branch
+    e = np.exp(-np.abs(x))
+    return np.fmax(e, x >= 0) / (1.0 + e)
 
 
 def _fuse(layers) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -428,16 +435,15 @@ def grad_check(
     params: ModelParams,
     window,
     target,
-    epsilon: float = 3e-5,
     n_samples: int = 200,
     seed: int = 0,
 ) -> float:
     """Max relative error of analytic vs central-difference gradients.
 
     Samples n_samples parameter coordinates (all of them if the model is
-    smaller than that) and perturbs each by +-epsilon. The default step
-    balances truncation against float64 cancellation; much below 1e-5
-    the difference quotient turns noisy on small-gradient coordinates.
+    smaller than that) and perturbs each by +-3e-5. That step balances
+    truncation against float64 cancellation; much below 1e-5 the
+    difference quotient turns noisy on small-gradient coordinates.
     """
     frames = np.asarray(getattr(window, "frames", window), dtype=np.float64)
     codes = _as_codes(target)
@@ -458,15 +464,15 @@ def grad_check(
         )
         return loss
 
-    worst = 0.0
+    worst, step = 0.0, 3e-5
     for i in sorted(int(i) for i in flat_idx):
         orig = theta[i]
-        theta[i] = orig + epsilon
+        theta[i] = orig + step
         loss_plus = loss_only()
-        theta[i] = orig - epsilon
+        theta[i] = orig - step
         loss_minus = loss_only()
         theta[i] = orig
-        fd = (loss_plus - loss_minus) / (2.0 * epsilon)
+        fd = (loss_plus - loss_minus) / (2.0 * step)
         an = analytic[i]
         denom = max(abs(fd) + abs(an), 1e-8)
         worst = max(worst, abs(fd - an) / denom)
@@ -658,6 +664,10 @@ def train_member(
             opt.step(arrays, grads)
             loss_sum += batch_loss * len(idx)
         epoch_loss = loss_sum / n
+        if params.float32() is None:  # finite in float64, but decoding would read inf
+            raise TrainingError(
+                f"training diverged at epoch {epoch}: parameters beyond the float32 range"
+            )
 
         member = EnsembleModel(model_config, [(params, stats)])
         val_aer, val_sens, val_fdr = _validation_metrics(member, val_pairs)

@@ -66,7 +66,7 @@ class NormalizationStats:
         return cls(mean, std, source_split)  # its own DataError names the reason
 
 
-def column_stats(rows: np.ndarray, source_split: str = "train") -> NormalizationStats:
+def column_stats(rows: np.ndarray) -> NormalizationStats:
     """Mean and population std of each column of a (n, D) matrix.
 
     Columns with std below 1e-8 (constant columns) get std clamped to 1
@@ -74,16 +74,14 @@ def column_stats(rows: np.ndarray, source_split: str = "train") -> Normalization
     model's frames and the baseline's features are standardized by it.
     """
     std = rows.std(axis=0)
-    return NormalizationStats(rows.mean(axis=0), np.where(std < 1e-8, 1.0, std), source_split)
+    return NormalizationStats(rows.mean(axis=0), np.where(std < 1e-8, 1.0, std))
 
 
-def fit_normalization(
-    recordings: list[IMURecording], source_split: str = "train"
-) -> NormalizationStats:
+def fit_normalization(recordings: list[IMURecording]) -> NormalizationStats:
     """Per-channel column_stats pooled over all frames of all recordings."""
     if not recordings:
         raise DataError("need at least one recording to fit normalization")
-    return column_stats(np.concatenate([r.frames for r in recordings], axis=0), source_split)
+    return column_stats(np.concatenate([r.frames for r in recordings], axis=0))
 
 
 def normalize_frames(frames: np.ndarray, stats: NormalizationStats) -> np.ndarray:

@@ -36,7 +36,9 @@ from primcount.dataset import (
 from primcount.decoding import (
     SessionPrediction, count, decode_windows, stitch_append, stitch_windows,
 )
-from primcount.model import EnsembleModel, ModelConfig, ModelParams, init_params, load_ensemble
+from primcount.model import (
+    EnsembleModel, ModelConfig, ModelParams, init_params, load_ensemble, load_member, save_member,
+)
 from primcount.preprocess import NormalizationStats, WindowSpec, make_windows
 
 
@@ -265,6 +267,14 @@ def test_killed_writer_exits_1_naming_the_job(tmp_path, monkeypatch, capsys):
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("n_channels", [0, -3])
+def test_synth_without_channels_exits_1_naming_it(tmp_path, capsys, n_channels):
+    cfg = mini_config(tmp_path, n_channels=n_channels)
+    assert main(["synth", "--config", str(cfg)]) == 1
+    assert f"error: n_channels must be positive, got {n_channels}" in capsys.readouterr().err
+    assert not (tmp_path / "data").exists()
+
+
 def test_predict_without_models_fails(tmp_path):
     cfg = mini_config(tmp_path)
     assert main(["synth", "--config", str(cfg)]) == 0
@@ -298,6 +308,17 @@ def test_train_divergence_exits_1(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(model_mod, "init_params", poisoned)
     assert main(["train", "--config", str(cfg)]) == 1
     assert "diverged" in capsys.readouterr().err
+
+
+def test_train_beyond_float32_exits_1_naming_the_epoch(tmp_path, capsys):
+    # one Adam step of this size leaves the parameters finite in float64, so
+    # loss and gradients pass, but the float32 validation decode would read inf
+    cfg = mini_config(tmp_path, learning_rate=1e300, max_epochs=1)
+    assert main(["synth", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "error: training diverged at epoch 1: parameters beyond the float32 range" in err
+    assert not list((tmp_path / "out").glob("model.*.bin"))
 
 
 def test_sample_rate_mismatch_fails(tmp_path, capsys):
@@ -568,6 +589,20 @@ def test_non_finite_normalization_in_model_file_exits_1(pipeline, tmp_path, caps
     (out / "model.1.bin").write_text(json.dumps(doc))
     assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert "mean/std must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["predict", "stream"])
+def test_member_beyond_float32_exits_1_naming_it(pipeline, tmp_path, capsys, command):
+    tmp, cfg_path = pipeline
+    out = tmp_path / "out"
+    shutil.copytree(tmp / "out", out)
+    params, stats = load_member(out / "model.1.bin")
+    params.vector[0] = 1e39  # finite, so load_member accepts it; inf in float32
+    save_member(out / "model.1.bin", params, stats)
+    argv = [command, "--config", str(cfg_path), "--out", str(out)]
+    assert main(argv + (["--speed", "inf"] if command == "stream" else [])) == 1
+    err = capsys.readouterr().err
+    assert "error: member 1 (model.1.bin) has parameters beyond the float32 range" in err
 
 
 def test_help_gives_every_command_a_summary(capsys):

@@ -133,6 +133,29 @@ class TestManifest:
         with pytest.raises(DataError, match="group of 3"):
             ChannelManifest(channels)
 
+    @staticmethod
+    def layout(spec: str) -> tuple[ChannelDescriptor, ...]:
+        kinds = {"a": "acceleration", "q": "quaternion-component", "j": "joint-angle"}
+        return tuple(ChannelDescriptor(f"c{i}", sensor, kinds[kind], "1")
+                     for i, (kind, sensor) in enumerate(w.split(":") for w in spec.split()))
+
+    @pytest.mark.parametrize("spec, groups", [
+        ("a:s0 q:s0 q:s0 q:s0 q:s0 a:s0", (1,)),
+        ("q:s0 q:s0 q:s0 q:s0 q:s1 q:s1 q:s1 q:s1", (0, 4)),
+        ("j:s0 q:s1 q:s1 q:s1 q:s1 a:s1 q:s1 q:s1 q:s1 q:s1", (1, 6)),
+    ])
+    def test_quaternion_runs_split_by_kind_and_sensor(self, spec, groups):
+        assert ChannelManifest(self.layout(spec)).quaternion_groups() == groups
+
+    @pytest.mark.parametrize("spec, message", [
+        ("q:s0 q:s0 a:s0 q:s0 q:s0", "'s0' at column 0 form a group of 2"),
+        ("q:s0 q:s0 q:s0 q:s0 q:s1 q:s1 q:s1", "'s1' at column 4 form a group of 3"),
+        ("a:s2 q:s2 q:s2 q:s2 q:s2 q:s2", "'s2' at column 1 form a group of 5"),
+    ])
+    def test_first_bad_quaternion_run_is_named(self, spec, message):
+        with pytest.raises(DataError, match=message):
+            ChannelManifest(self.layout(spec))
+
     def test_json_round_trip(self):
         m = shipped_manifest()
         assert ChannelManifest.from_json(m.to_json()) == m
@@ -206,6 +229,12 @@ class TestRecordingValidation:
         counts = labeled.true_counts()
         assert counts[PrimitiveClass.REACH] == 1
         assert counts[PrimitiveClass.TRANSPORT] == 0
+
+    def test_true_counts_cover_every_class_in_order(self):
+        r, i = PrimitiveClass.REACH, PrimitiveClass.IDLE
+        segments = [PrimitiveSegment(0, 3, i), PrimitiveSegment(3, 5, r), PrimitiveSegment(5, 9, i)]
+        labeled = LabeledRecording(IMURecording("s00", "a", 0, 100.0, np.zeros((9, 2))), segments)
+        assert list(labeled.true_counts().items()) == [(c, {r: 1, i: 2}.get(c, 0)) for c in CLASSES]
 
 
 class TestFileIO:

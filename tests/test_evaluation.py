@@ -119,6 +119,63 @@ class TestAlign:
             align([0, 5], [1])
 
 
+def int64_dp_table(gt, pred):
+    """The cost table as align() filled it in int64, the oracle for the narrow one."""
+    n, m = len(gt), len(pred)
+    dp = np.empty((n + 1, m + 1), dtype=np.int64)
+    dp[0] = np.arange(m + 1)
+    offsets = np.arange(m + 1)
+    for i in range(1, n + 1):
+        prev = dp[i - 1]
+        t = np.empty(m + 1, dtype=np.int64)
+        t[0] = i
+        np.minimum(prev[:-1] + (gt[i - 1] != pred), prev[1:] + 1, out=t[1:])
+        dp[i] = np.minimum.accumulate(t - offsets) + offsets
+    return dp
+
+
+class TestNarrowCostTable:
+    """_dp_table takes the narrowest unsigned type that holds n + m + 1, and
+    align() returns the op lists it returned with the int64 table."""
+
+    @staticmethod
+    def assert_same_ops(monkeypatch, a, b):
+        import primcount.evaluation as evaluation
+
+        narrow = evaluation._dp_table
+        got = align(a, b)
+        monkeypatch.setattr(evaluation, "_dp_table", int64_dp_table)
+        want = align(a, b)
+        monkeypatch.setattr(evaluation, "_dp_table", narrow)
+        assert got == want
+        codes = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        table = narrow(*codes)
+        assert table.dtype == np.min_scalar_type(len(a) + len(b) + 1)
+        assert (table == int64_dp_table(*codes)).all()
+
+    def test_random_pairs_with_many_ties(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        for _ in range(400):
+            n, m = rng.integers(0, 30, size=2)
+            k = int(rng.integers(1, 4))  # one to three classes: many tied branches
+            self.assert_same_ops(monkeypatch, rng.integers(0, k, n).tolist(),
+                                 rng.integers(0, k, m).tolist())
+
+    @pytest.mark.parametrize("n, m", [(0, 0), (0, 7), (7, 0), (0, 300), (300, 0)])
+    def test_empty_sides(self, monkeypatch, n, m):
+        rng = np.random.default_rng(n + m)
+        self.assert_same_ops(monkeypatch, rng.integers(0, 5, n).tolist(),
+                             rng.integers(0, 5, m).tolist())
+
+    @pytest.mark.parametrize("n, m", [(127, 127), (100, 154), (154, 100), (128, 127),
+                                      (200, 255), (255, 260), (470, 300)])
+    def test_lengths_on_both_sides_of_255(self, monkeypatch, n, m):
+        rng = np.random.default_rng(n * 1000 + m)
+        for k in (1, 2, 5):
+            self.assert_same_ops(monkeypatch, rng.integers(0, k, n).tolist(),
+                                 rng.integers(0, k, m).tolist())
+
+
 class TestAlignmentOp:
     def test_costs(self):
         assert AlignmentOp(R, R).cost == 0
